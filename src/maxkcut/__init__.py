@@ -1,68 +1,20 @@
 """Multi-operator local search for the max-k-cut problem."""
 
-from .buckets import (
-    SearchState,
-    apply_single_transfer,
-    best_in_array,
-    best_single_transfer,
-    init_state,
-)
-from .graph import Graph, GraphFormatError, graph_stats, parse_instance, write_instance
-from .operators import (
-    Move,
-    Transfer,
-    apply_move,
-    combined_gain,
-    op1_select,
-    op2_select,
-    op3_select,
-    op4_select,
-    op5_apply,
-    psi,
-)
+from .graph import Graph, GraphFormatError, parse_instance, write_instance
 from .oracle import OracleGuardError, exact_max_kcut
-from .partition import Partition, evaluate, random_initial, validate
-from .search import (
-    SearchParams,
-    SearchResult,
-    descent_phase,
-    diversified_phase,
-    perturb,
-    run_moh,
-)
-from .tabu import TabuList
+from .partition import Partition, evaluate, validate
+from .search import SearchParams, SearchResult, run_moh
 
 __all__ = [
     "Graph",
     "GraphFormatError",
-    "Move",
     "OracleGuardError",
     "Partition",
     "SearchParams",
     "SearchResult",
-    "SearchState",
-    "TabuList",
-    "Transfer",
-    "apply_move",
-    "apply_single_transfer",
-    "best_in_array",
-    "best_single_transfer",
-    "combined_gain",
-    "descent_phase",
-    "diversified_phase",
     "evaluate",
     "exact_max_kcut",
-    "graph_stats",
-    "init_state",
-    "op1_select",
-    "op2_select",
-    "op3_select",
-    "op4_select",
-    "op5_apply",
     "parse_instance",
-    "perturb",
-    "psi",
-    "random_initial",
     "run_moh",
     "validate",
     "write_instance",

@@ -173,18 +173,6 @@ def apply_single_transfer(s: SearchState, v: int, t: int) -> int:
     return gain
 
 
-def best_in_array(
-    s: SearchState, i: int, rng: random.Random
-) -> tuple[int, int] | None:
-    """A uniformly random vertex from the top non-empty bucket of B_i, with
-    its gain; None when every vertex is in S_i."""
-    idx = s._true_gmax(i)
-    if idx < 0:
-        return None
-    members = s.cell_members(i, idx)
-    return rng.choice(members), idx - s.offset
-
-
 def best_single_transfer(s: SearchState, rng: random.Random) -> tuple[int, int, int]:
     """A maximum-gain single transfer (vertex, target subset, gain).
 

@@ -11,9 +11,10 @@ import io
 import statistics
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
-from .graph import Graph, GraphFormatError, graph_stats, parse_instance
+from .graph import Graph, GraphFormatError, parse_instance
 from .oracle import OracleGuardError, exact_max_kcut
 from .partition import (
     Partition,
@@ -24,7 +25,7 @@ from .partition import (
     solution_to_text,
     validate,
 )
-from .search import DESCENT_STRATEGIES, SearchParams, SearchResult, run_moh
+from .search import DESCENT_STRATEGIES, SearchParams, run_moh
 
 BENCH_COLUMNS = [
     "instance",
@@ -65,11 +66,16 @@ def _load_instance(path: str) -> Graph:
         raise InputError(f"invalid instance {path}: {e}") from e
 
 
-def _params_from_args(g: Graph, args, seed: int) -> SearchParams:
+def _params_from_args(g: Graph, args, seed: int, **overrides) -> SearchParams:
+    """SearchParams of one run on g from the search flags, with overrides
+    for the fields a bench ablation varies.  Out-of-range values are input
+    errors."""
+    if not (2 <= args.k <= g.n):
+        raise InputError(f"k must satisfy 2 <= k <= n={g.n}")
     time_limit = args.time_limit
     if time_limit is None:
-        time_limit = 60.0 if getattr(args, "quick", False) else default_time_limit(g.n)
-    return SearchParams(
+        time_limit = 60.0 if args.quick else default_time_limit(g.n)
+    params = SearchParams(
         k=args.k,
         omega=args.omega,
         xi=args.xi,
@@ -81,17 +87,20 @@ def _params_from_args(g: Graph, args, seed: int) -> SearchParams:
         seed=seed,
         descent_strategy=args.strategy,
     )
+    params = replace(params, **overrides)
+    try:
+        params.check()
+    except ValueError as e:
+        raise InputError(str(e)) from e
+    return params
 
 
 def cmd_solve(args) -> int:
     g = _load_instance(args.instance)
-    if not (2 <= args.k <= g.n):
-        raise InputError(f"k must satisfy 2 <= k <= n={g.n}")
     params = _params_from_args(g, args, args.seed)
     result = run_moh(g, params)
-    stats = graph_stats(g)
     print(f"instance: {args.instance}")
-    print(f"n: {stats.n}  m: {stats.m}  k: {args.k}")
+    print(f"n: {g.n}  m: {g.m}  k: {args.k}")
     print(f"f_best: {result.f_best}")
     print(f"time_to_best_seconds: {result.time_to_best:.3f}")
     print(f"total_iterations: {result.total_iterations}")
@@ -115,33 +124,17 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _bench_run(task) -> tuple:
-    """One seeded run of one bench cell; top-level for process pools."""
-    path, k, strategy, rho, seed, time_limit = task
-    g = _load_instance(path)
-    params = SearchParams(
-        k=k, rho=rho, seed=seed, time_limit=time_limit, descent_strategy=strategy
-    )
-    result = run_moh(g, params)
-    return (path, k, strategy, rho, seed, result.f_best, result.time_to_best)
-
-
 def cmd_bench(args) -> int:
     if args.instances:
         names = [s.strip() for s in args.instances.split(",") if s.strip()]
         base = Path(args.dir) if args.dir else Path(".")
         paths = []
         for name in names:
-            cand = base / name
-            if not cand.exists():
-                for suffix in (".txt", ".dat"):
-                    alt = base / (name + suffix)
-                    if alt.exists():
-                        cand = alt
-                        break
-            if not cand.exists():
+            found = [c for c in (base / name, base / f"{name}.txt", base / f"{name}.dat")
+                     if c.exists()]
+            if not found:
                 raise InputError(f"instance {name} not found under {base}")
-            paths.append(cand)
+            paths.append(found[0])
     elif args.dir:
         paths = sorted(p for p in Path(args.dir).iterdir() if p.is_file())
         if not paths:
@@ -149,75 +142,56 @@ def cmd_bench(args) -> int:
     else:
         raise InputError("bench needs --dir or --instances")
 
-    ks = [args.k]
+    strategies = [args.strategy]
     if args.ablate == "descent":
         strategies = ["o1_only", "union", "random_mix", "sequential"]
-        rhos = [args.rho]
-    elif args.ablate == "rho":
-        strategies = ["sequential"]
-        rhos = [float(s) for s in args.rho_values.split(",")]
-    else:
-        strategies = ["sequential"]
-        rhos = [args.rho]
+    rhos = [args.rho]
+    if args.ablate == "rho":
+        rhos = [float(x) for x in args.rho_values.split(",")]
 
-    tasks = []
+    # Every instance is parsed once and every run's parameters are checked
+    # before the first run, so a bad input fails the bench as a whole.
     cells = []
+    run_graphs: list[Graph] = []
+    run_params: list[SearchParams] = []
     for path in paths:
-        for k in ks:
-            for strategy in strategies:
-                for rho in rhos:
-                    cells.append((path, k, strategy, rho))
-                    for r in range(args.runs):
-                        time_limit = args.time_limit
-                        if time_limit is None:
-                            if args.quick:
-                                time_limit = 60.0
-                            else:
-                                g = _load_instance(str(path))
-                                time_limit = default_time_limit(g.n)
-                        tasks.append(
-                            (str(path), k, strategy, rho, args.base_seed + r, time_limit)
-                        )
+        g = _load_instance(str(path))
+        for strategy in strategies:
+            for rho in rhos:
+                cells.append((path, g, strategy, rho))
+                for r in range(args.runs):
+                    run_graphs.append(g)
+                    run_params.append(_params_from_args(
+                        g, args, args.base_seed + r, rho=rho, descent_strategy=strategy
+                    ))
 
-    results: dict[tuple, list[tuple[int, float]]] = {}
-    failures: list[str] = []
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            outs = list(pool.map(_bench_run, tasks))
+            results = list(pool.map(run_moh, run_graphs, run_params))
     else:
-        outs = []
-        for task in tasks:
-            try:
-                outs.append(_bench_run(task))
-            except InputError as e:
-                failures.append(str(e))
-    for path, k, strategy, rho, seed, f_best, ttb in outs:
-        results.setdefault((Path(path), k, strategy, rho), []).append((f_best, ttb))
+        results = list(map(run_moh, run_graphs, run_params))
 
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(BENCH_COLUMNS)
-    for path, k, strategy, rho in cells:
-        runs = results.get((path, k, strategy, rho), [])
+    for c, (path, g, strategy, rho) in enumerate(cells):
+        runs = results[c * args.runs:(c + 1) * args.runs]
         if not runs:
             continue
-        g = _load_instance(str(path))
-        fs = [f for f, _ in runs]
-        times = [t for _, t in runs]
-        std = statistics.pstdev(fs) if len(fs) > 1 else 0.0
+        fs = [r.f_best for r in runs]
         writer.writerow(
             [
                 path.name,
                 g.n,
                 g.m,
-                k,
+                args.k,
                 strategy,
                 f"{rho:g}",
                 len(runs),
                 max(fs),
                 f"{statistics.fmean(fs):.2f}",
-                f"{std:.2f}",
-                f"{statistics.fmean(times):.2f}",
+                f"{statistics.pstdev(fs):.2f}",
+                f"{statistics.fmean(r.time_to_best for r in runs):.2f}",
             ]
         )
     payload = buf.getvalue()
@@ -225,8 +199,6 @@ def cmd_bench(args) -> int:
         Path(args.out).write_text(payload)
     else:
         sys.stdout.write(payload)
-    for failure in failures:
-        print(f"error: {failure}", file=sys.stderr)
     return 0
 
 

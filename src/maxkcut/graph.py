@@ -11,13 +11,22 @@ from dataclasses import dataclass
 
 
 class GraphFormatError(ValueError):
-    """Raised for malformed edge-list input; carries the offending line number."""
+    """Raised for malformed graph input.
 
-    def __init__(self, message: str, line: int | None = None):
+    Carries the 1-based line number of the offending text line, or, from
+    Graph.from_edges, the 0-based index of the offending edge.
+    """
+
+    def __init__(self, reason: str, line: int | None = None, edge: int | None = None):
+        message = reason
         if line is not None:
-            message = f"{message} at line {line}"
+            message = f"{reason} at line {line}"
+        elif edge is not None:
+            message = f"{reason} in edge {edge}"
         super().__init__(message)
+        self.reason = reason
         self.line = line
+        self.edge = edge
 
 
 @dataclass(frozen=True)
@@ -38,19 +47,25 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
+        """Build a graph from 0-indexed (u, v, w) edges.
+
+        The one validator of edge lists: an out-of-range vertex id, a
+        self-loop or a repeated vertex pair raises GraphFormatError carrying
+        the index of the offending edge.
+        """
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         edges = tuple((int(u), int(v), int(w)) for u, v, w in edges)
         seen: set[tuple[int, int]] = set()
         adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for u, v, w in edges:
+        for i, (u, v, w) in enumerate(edges):
             if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"vertex id out of range: ({u}, {v})")
+                raise GraphFormatError("vertex id out of range", edge=i)
             if u == v:
-                raise ValueError(f"self-loop on vertex {u}")
+                raise GraphFormatError("self-loop", edge=i)
             key = (u, v) if u < v else (v, u)
             if key in seen:
-                raise ValueError(f"duplicate edge ({u}, {v})")
+                raise GraphFormatError("duplicate edge", edge=i)
             seen.add(key)
             adj[u].append((v, w))
             adj[v].append((u, w))
@@ -69,21 +84,17 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    def neighbor_sets(self) -> list[set[int]]:
-        return [set(nb for nb, _ in a) for a in self.adjacency]
-
 
 def parse_instance(text: str) -> Graph:
     """Parse G-set edge-list text into a Graph.
 
-    Blank lines are ignored.  Malformed headers, out-of-range or duplicate
-    edges, self-loops, and edge-count mismatches raise GraphFormatError with
-    the 1-based line number.
+    Blank lines are ignored.  Malformed headers or edge lines, out-of-range
+    or duplicate edges, self-loops, and edge-count mismatches raise
+    GraphFormatError with the 1-based line number.  Edge lines are
+    tokenized first and validated by Graph.from_edges afterwards.
     """
     lines = text.splitlines()
     header_line = None
-    n = m = 0
-    body_start = 0
     for idx, raw in enumerate(lines):
         if raw.strip():
             header_line = idx
@@ -99,11 +110,10 @@ def parse_instance(text: str) -> Graph:
         raise GraphFormatError("malformed header, expected 'n m'", header_line + 1) from None
     if n < 0 or m < 0:
         raise GraphFormatError("negative count in header", header_line + 1)
-    body_start = header_line + 1
 
     edges: list[tuple[int, int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    for idx in range(body_start, len(lines)):
+    linenos: list[int] = []
+    for idx in range(header_line + 1, len(lines)):
         raw = lines[idx].strip()
         if not raw:
             continue
@@ -115,20 +125,15 @@ def parse_instance(text: str) -> Graph:
             u, v, w = int(parts[0]), int(parts[1]), int(parts[2])
         except ValueError:
             raise GraphFormatError("malformed edge, expected integers 'u v w'", lineno) from None
-        if not (1 <= u <= n and 1 <= v <= n):
-            raise GraphFormatError("vertex id out of range", lineno)
-        if u == v:
-            raise GraphFormatError(f"self-loop on vertex {u}", lineno)
-        u -= 1
-        v -= 1
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise GraphFormatError(f"duplicate edge ({u + 1}, {v + 1})", lineno)
-        seen.add(key)
-        edges.append((u, v, w))
-    if len(edges) != m:
-        raise GraphFormatError(f"header promised {m} edges, found {len(edges)}")
-    return Graph.from_edges(n, edges)
+        edges.append((u - 1, v - 1, w))
+        linenos.append(lineno)
+    try:
+        g = Graph.from_edges(n, edges)
+    except GraphFormatError as e:
+        raise GraphFormatError(e.reason, linenos[e.edge]) from None
+    if g.m != m:
+        raise GraphFormatError(f"header promised {m} edges, found {g.m}")
+    return g
 
 
 def write_instance(g: Graph) -> str:
@@ -136,31 +141,3 @@ def write_instance(g: Graph) -> str:
     out = [f"{g.n} {g.m}"]
     out.extend(f"{u + 1} {v + 1} {w}" for u, v, w in g.edges)
     return "\n".join(out) + "\n"
-
-
-@dataclass(frozen=True)
-class GraphStats:
-    n: int
-    m: int
-    density: float
-    min_weight: int | None
-    max_weight: int | None
-    max_degree: int
-    max_abs_incident_weight: int
-
-
-def graph_stats(g: Graph) -> GraphStats:
-    """Recompute summary statistics straight from the edge list."""
-    density = 2.0 * g.m / (g.n * (g.n - 1)) if g.n >= 2 else 0.0
-    weights = [w for _, _, w in g.edges]
-    return GraphStats(
-        n=g.n,
-        m=g.m,
-        density=density,
-        min_weight=min(weights) if weights else None,
-        max_weight=max(weights) if weights else None,
-        max_degree=max((len(a) for a in g.adjacency), default=0),
-        max_abs_incident_weight=max(
-            (sum(abs(w) for _, w in a) for a in g.adjacency), default=0
-        ),
-    )

@@ -46,6 +46,20 @@ def psi(c_u: int, c_v: int, t_u: int, t_v: int) -> int:
     )
 
 
+def _psi_block(k: int, c_u: int, c_v: int) -> list[list[int]]:
+    """psi(c_u, c_v, t_u, t_v) for every target pair, indexed [t_u][t_v].
+
+    Inadmissible entries (t_u == c_u or t_v == c_v) hold 0.  O2 builds one
+    block per origin pair it meets within a call: k**2 work, no more than
+    one edge's own scan over its target pairs.
+    """
+    r = range(k)
+    return [
+        [psi(c_u, c_v, tu, tv) if tu != c_u and tv != c_v else 0 for tv in r]
+        for tu in r
+    ]
+
+
 def combined_gain(s: SearchState, u: int, t_u: int, v: int, t_v: int) -> int:
     """Gain of jointly moving u -> t_u and v -> t_v (u != v).
 
@@ -95,25 +109,24 @@ def op2_select(
         return None
     if max_edges is not None and max_edges < len(candidates):
         candidates = rng.sample(candidates, max_edges)
+    blocks: dict[tuple[int, int], list[list[int]]] = {}
     best_gain = 0
     ties: list[tuple[int, int, int, int]] = []
     for u, v, w in candidates:
         cu, cv = assign[u], assign[v]
         urow, vrow = delta[u], delta[v]
+        coef_uv = blocks.get((cu, cv))
+        if coef_uv is None:
+            coef_uv = blocks[cu, cv] = _psi_block(k, cu, cv)
         for tu in range(k):
             if tu == cu:
                 continue
             du = urow[tu]
+            coef_tu = coef_uv[tu]
             for tv in range(k):
                 if tv == cv:
                     continue
-                coef = (
-                    -(1 if cu == cv else 0)
-                    + (1 if tu == cv else 0)
-                    - (1 if tu == tv else 0)
-                    + (1 if cu == tv else 0)
-                )
-                gain = du + vrow[tv] + coef * w
+                gain = du + vrow[tv] + coef_tu[tv] * w
                 if gain > best_gain:
                     best_gain = gain
                     ties = [(u, tu, v, tv)]
@@ -226,82 +239,81 @@ def op4_select(s: SearchState, rng: random.Random) -> Move | None:
     scan_p = _DescendingScan(s, p)
     scan_q = _DescendingScan(s, q)
     top_q = scan_q.get(0)
+    if top_q is None:  # every vertex is in S_q
+        return None
+    gq_top = top_q[1]
 
     # Non-adjacent pairs: for each u from the top of p, partners from the top
     # of q; sums only decrease, so each inner scan stops at the incumbent.
-    if top_q is not None:
-        gq_top = top_q[1]
-        pos_u = 0
-        while (entry := scan_p.get(pos_u)) is not None:
-            pos_u += 1
-            u, gu = entry
-            if best is not None:
-                if gu + gq_top < best:
+    pos_u = 0
+    while (entry := scan_p.get(pos_u)) is not None:
+        pos_u += 1
+        u, gu = entry
+        if best is not None:
+            if gu + gq_top < best:
+                break
+            if gu + gq_top == best and tie_budget <= 0:
+                break
+        nu = None
+        pos_v = 0
+        while (ev := scan_q.get(pos_v)) is not None:
+            pos_v += 1
+            v, gv = ev
+            gain = gu + gv
+            if best is not None and gain < best:
+                break
+            if v == u:
+                continue
+            if nu is None:
+                nu = set(nb for nb, _ in adjacency[u])
+            if v in nu:
+                continue
+            if best is None or gain > best:
+                best = gain
+                choice = (u, v)
+                tie_count = 1
+            else:
+                tie_budget -= 1
+                if tie_budget < 0:
                     break
-                if gu + gq_top == best and tie_budget <= 0:
-                    break
-            nu = None
-            pos_v = 0
-            while (ev := scan_q.get(pos_v)) is not None:
-                pos_v += 1
-                v, gv = ev
-                gain = gu + gv
-                if best is not None and gain < best:
-                    break
-                if v == u:
-                    continue
-                if nu is None:
-                    nu = set(nb for nb, _ in adjacency[u])
-                if v in nu:
-                    continue
-                if best is None or gain > best:
-                    best = gain
+                tie_count += 1
+                if rng.random() * tie_count < 1.0:
                     choice = (u, v)
-                    tie_count = 1
-                else:
-                    tie_budget -= 1
-                    if tie_budget < 0:
-                        break
-                    tie_count += 1
-                    if rng.random() * tie_count < 1.0:
-                        choice = (u, v)
 
     # Adjacent pairs: a pair (u, v) has gain at most
     # delta[u][p] + delta[v][q] + 2*max|w|, which bounds both the u-side
     # depth and, per u, the admissible delta[v][q].
-    if top_q is not None:
-        gq_top = top_q[1]
-        two_w = 2 * s.graph.max_abs_weight
-        pos_u = 0
-        while (entry := scan_p.get(pos_u)) is not None:
-            pos_u += 1
-            u, gu = entry
-            if best is not None and gu + gq_top + two_w < best:
-                break
-            cu = assign[u]
-            v_floor = None if best is None else best - gu - two_w
-            for v, w in adjacency[u]:
-                cv = assign[v]
-                if cv == q:
-                    continue
-                dvq = delta[v][q]
-                if v_floor is not None and dvq < v_floor:
-                    continue
-                coef = (
-                    -(1 if cu == cv else 0)
-                    + (1 if p == cv else 0)
-                    + (1 if cu == q else 0)
-                )
-                gain = gu + dvq + coef * w
-                if best is None or gain > best:
-                    best = gain
+    two_w = 2 * s.graph.max_abs_weight
+    # psi(c_u, c_v, p, q) per origin pair, filled as pairs are met.
+    coefs: dict[tuple[int, int], int] = {}
+    pos_u = 0
+    while (entry := scan_p.get(pos_u)) is not None:
+        pos_u += 1
+        u, gu = entry
+        if best is not None and gu + gq_top + two_w < best:
+            break
+        cu = assign[u]
+        v_floor = None if best is None else best - gu - two_w
+        for v, w in adjacency[u]:
+            cv = assign[v]
+            if cv == q:
+                continue
+            dvq = delta[v][q]
+            if v_floor is not None and dvq < v_floor:
+                continue
+            coef = coefs.get((cu, cv))
+            if coef is None:
+                coef = coefs[cu, cv] = psi(cu, cv, p, q)
+            gain = gu + dvq + coef * w
+            if best is None or gain > best:
+                best = gain
+                choice = (u, v)
+                tie_count = 1
+                v_floor = best - gu - two_w
+            elif gain == best:
+                tie_count += 1
+                if rng.random() * tie_count < 1.0:
                     choice = (u, v)
-                    tie_count = 1
-                    v_floor = best - gu - two_w
-                elif gain == best:
-                    tie_count += 1
-                    if rng.random() * tie_count < 1.0:
-                        choice = (u, v)
 
     if choice is None:
         return None

@@ -25,13 +25,6 @@ class Partition:
                     sizes[s] += 1
             self.sizes = sizes
 
-    @classmethod
-    def from_assign(cls, k: int, assign) -> "Partition":
-        return cls(k=k, assign=list(assign))
-
-    def copy(self) -> "Partition":
-        return Partition(k=self.k, assign=list(self.assign), sizes=list(self.sizes))
-
 
 def random_initial(g: Graph, k: int, rng: random.Random) -> Partition:
     """Assign vertices uniformly at random, then repair empty subsets by

@@ -11,8 +11,6 @@ from dataclasses import dataclass, field
 from .buckets import SearchState, init_state
 from .graph import Graph
 from .operators import (
-    Move,
-    Transfer,
     apply_move,
     op1_select,
     op2_select,
@@ -37,10 +35,7 @@ class SearchParams:
     xi: int = 1000  # non-improving rounds before perturbation
     rho: float = 0.5  # probability of O3 in the diversified phase
     gamma_fraction: float = 0.1  # perturbation strength as fraction of n
-    phi: float | None = None  # O2 edge-sampling fraction; None = 0.1/d
-    sample_edges: bool = True  # disable to make O2 scan every edge
-    tenure_low: int = 3
-    tenure_high: int | None = None  # None = n // 10 (clamped to >= low)
+    phi: float | None = None  # O2 edge-sampling fraction; None = 0.1/d, 1 = all
     time_limit: float = 1800.0
     target_objective: int | None = None
     max_rounds: int | None = None  # deterministic stop for tests
@@ -48,6 +43,8 @@ class SearchParams:
     descent_strategy: str = "sequential"
 
     def check(self) -> None:
+        if self.k < 2:
+            raise ValueError("k must be >= 2")
         if self.omega < 1:
             raise ValueError("omega must be >= 1")
         if self.xi < 1:
@@ -56,6 +53,10 @@ class SearchParams:
             raise ValueError("rho must be in [0, 1]")
         if not (0.0 < self.gamma_fraction <= 1.0):
             raise ValueError("gamma_fraction must be in (0, 1]")
+        if self.phi is not None and self.phi <= 0.0:
+            raise ValueError("phi must be > 0")
+        if self.time_limit < 0.0:
+            raise ValueError("time_limit must be >= 0")
         if self.descent_strategy not in DESCENT_STRATEGIES:
             raise ValueError(f"unknown descent strategy {self.descent_strategy!r}")
 
@@ -91,7 +92,6 @@ class _BestTracker:
         self.time_to_best = 0.0
         self.trace: list[tuple[float, int]] = [(0.0, s.f)]
         self._countdown = TIME_CHECK_STRIDE
-        self._maybe_stop()
 
     def note(self, s: SearchState) -> None:
         if s.f > self.f_best:
@@ -104,12 +104,10 @@ class _BestTracker:
         self._countdown -= 1
         if self._countdown <= 0:
             self._countdown = TIME_CHECK_STRIDE
-            self._maybe_stop()
+            self.check_stop()
 
-    def check_time(self) -> None:
-        self._maybe_stop()
-
-    def _maybe_stop(self) -> None:
+    def check_stop(self) -> None:
+        """Raise _StopSearch once the target is reached or the budget spent."""
         if self.target is not None and self.f_best >= self.target:
             raise _StopSearch
         if time.perf_counter() - self.t0 >= self.time_limit:
@@ -117,14 +115,10 @@ class _BestTracker:
 
 
 def _o2_edge_cap(g: Graph, params: SearchParams) -> int | None:
-    """Number of edges O2 may scan; None disables sampling."""
-    if not params.sample_edges:
-        return None
+    """Number of edges O2 may scan; None when it scans every edge."""
     phi = params.phi
     if phi is None:
-        if g.max_degree == 0:
-            return None
-        phi = 0.1 / g.max_degree
+        phi = 0.1 / max(1, g.max_degree)  # edgeless: m = 0, every edge is scanned
     cap = max(1, math.ceil(phi * g.m))
     return cap if cap < g.m else None
 
@@ -133,68 +127,45 @@ def descent_phase(
     s: SearchState,
     params: SearchParams,
     rng: random.Random,
-    tracker: _BestTracker | None = None,
+    tracker: _BestTracker,
 ) -> None:
     """Greedy improvement until no operator of the chosen strategy yields a
-    positive-gain move."""
+    positive-gain move.
+
+    sequential: O1 first, O2 when O1 has no improving move; o1_only: O1
+    alone; union: the better of the O1 and O2 moves, O1 on equal gain;
+    random_mix: O1 or O2 first with equal probability, then the other.
+    """
     cap = _o2_edge_cap(s.graph, params)
     strategy = params.descent_strategy
-
-    def do(move: Move) -> None:
-        apply_move(s, move)
-        if tracker is not None:
-            tracker.note(s)
-
-    if strategy == "o1_only":
-        while (m := op1_select(s, rng)) is not None:
-            do(m)
-        return
-
-    if strategy == "sequential":
-        while True:
-            while (m := op1_select(s, rng)) is not None:
-                do(m)
-            m2 = op2_select(s, rng, cap)
-            if m2 is None:
-                return
-            do(m2)
-        return
-
-    if strategy == "union":
-        while True:
+    while True:
+        if strategy == "union":
             m1 = op1_select(s, rng)
             m2 = op2_select(s, rng, cap)
-            if m1 is None and m2 is None:
-                return
-            if m1 is None:
-                do(m2)
-            elif m2 is None or m1.gain >= m2.gain:
-                do(m1)
-            else:
-                do(m2)
-        return
-
-    # random_mix: pick O1 or O2 with equal probability each step; when the
-    # chosen operator has no improving move, fall back to the other one.
-    while True:
-        first, second = (op1_select, op2_select) if rng.random() < 0.5 else (
-            op2_select, op1_select)
-        m = first(s, rng, cap) if first is op2_select else first(s, rng)
-        if m is None:
-            m = second(s, rng, cap) if second is op2_select else second(s, rng)
-        if m is None:
+            move = m2 if m1 is None or (m2 is not None and m2.gain > m1.gain) else m1
+        elif strategy == "o1_only":
+            move = op1_select(s, rng)
+        elif strategy == "sequential" or rng.random() < 0.5:
+            move = op1_select(s, rng)
+            if move is None:
+                move = op2_select(s, rng, cap)
+        else:
+            move = op2_select(s, rng, cap)
+            if move is None:
+                move = op1_select(s, rng)
+        if move is None:
             return
-        do(m)
+        apply_move(s, move)
+        tracker.note(s)
 
 
 def diversified_phase(
     s: SearchState,
     tabu: TabuList,
     f_lo: int,
-    f_best: int,
     params: SearchParams,
     rng: random.Random,
-    tracker: _BestTracker | None = None,
+    tracker: _BestTracker,
 ) -> None:
     """Tabu-guided O3/O4 moves until a solution better than the entry local
     optimum is found or omega moves have been made.  The tabu list is
@@ -203,23 +174,16 @@ def diversified_phase(
     try:
         while True:
             if rng.random() < params.rho:
-                move = op3_select(
-                    s, tabu, tracker.f_best if tracker else f_best, rng
-                )
+                move = op3_select(s, tabu, tracker.f_best, rng)
             else:
                 move = op4_select(s, rng)
                 if move is None:
-                    move = op3_select(
-                        s, tabu, tracker.f_best if tracker else f_best, rng
-                    )
-            transfers: list[Transfer] = [move.first]
-            if move.second is not None:
-                transfers.append(move.second)
+                    move = op3_select(s, tabu, tracker.f_best, rng)
             apply_move(s, move)
-            for tr in transfers:
-                tabu.record(tr.vertex, tr.origin, s.iter, rng)
-            if tracker is not None:
-                tracker.note(s)
+            for tr in (move.first, move.second):
+                if tr is not None:
+                    tabu.record(tr.vertex, tr.origin, s.iter, rng)
+            tracker.note(s)
             c_div += 1
             if c_div > params.omega or s.f > f_lo:
                 return
@@ -231,14 +195,13 @@ def perturb(
     s: SearchState,
     params: SearchParams,
     rng: random.Random,
-    tracker: _BestTracker | None = None,
+    tracker: _BestTracker,
 ) -> None:
     """Apply gamma = max(1, round(gamma_fraction * n)) random transfers."""
     gamma = max(1, round(params.gamma_fraction * s.graph.n))
     for _ in range(gamma):
         op5_apply(s, rng)
-        if tracker is not None:
-            tracker.note(s)
+        tracker.note(s)
 
 
 def run_moh(g: Graph, params: SearchParams) -> SearchResult:
@@ -249,25 +212,14 @@ def run_moh(g: Graph, params: SearchParams) -> SearchResult:
     rng = random.Random(params.seed)
     p = random_initial(g, params.k, rng)
     s = init_state(g, p)
-    tabu = TabuList(g.n, low=params.tenure_low, high=params.tenure_high)
+    tabu = TabuList(g.n)
+    tracker = _BestTracker(s, params.time_limit, params.target_objective)
     rounds = 0
     perturbations = 0
     c_non_impv = 0
     try:
-        tracker = _BestTracker(s, params.time_limit, params.target_objective)
-    except _StopSearch:
-        return SearchResult(
-            best_partition=Partition(k=params.k, assign=list(p.assign)),
-            f_best=s.f,
-            time_to_best=0.0,
-            total_iterations=0,
-            rounds=0,
-            perturbations=0,
-            trace=[(0.0, s.f)],
-        )
-    try:
         while True:
-            tracker.check_time()
+            tracker.check_stop()
             before = tracker.f_best
             descent_phase(s, params, rng, tracker)
             f_lo = s.f
@@ -276,7 +228,7 @@ def run_moh(g: Graph, params: SearchParams) -> SearchResult:
             else:
                 c_non_impv += 1
             rounds += 1
-            diversified_phase(s, tabu, f_lo, tracker.f_best, params, rng, tracker)
+            diversified_phase(s, tabu, f_lo, params, rng, tracker)
             if c_non_impv > params.xi:
                 perturb(s, params, rng, tracker)
                 perturbations += 1

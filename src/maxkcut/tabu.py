@@ -12,12 +12,10 @@ class TabuList:
     A pair is forbidden at iteration t exactly when its expiry is > t.
     """
 
-    def __init__(self, n: int, low: int = 3, high: int | None = None):
-        if high is None:
-            high = n // 10
+    def __init__(self, n: int):
         # rand(3, n/10) is ill-formed for n < 30; clamp the upper bound.
-        self.low = low
-        self.high = max(low, high)
+        self.low = 3
+        self.high = max(3, n // 10)
         self.expiry: dict[tuple[int, int], int] = {}
 
     def record(self, v: int, origin: int, iteration: int, rng: random.Random) -> None:

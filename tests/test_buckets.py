@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from maxkcut.buckets import (
     apply_single_transfer,
-    best_in_array,
     best_single_transfer,
     init_state,
 )
@@ -75,31 +74,6 @@ def test_edgeless_moves_are_free():
     assert all(gain == 0 for row in s.delta for gain in row)
 
 
-def test_best_in_array_triangle(triangle):
-    # S1={0,2}, S2={1}: array for S2 holds vertex 0 (gain +1) on top
-    s = init_state(triangle, Partition(k=2, assign=[0, 1, 0]))
-    v, gain = best_in_array(s, 1, random.Random(0))
-    assert (v, gain) == (0, 1)
-
-
-def test_best_in_array_uniform_tie_break():
-    g = Graph.from_edges(4, [])
-    s = init_state(g, Partition(k=2, assign=[0, 0, 0, 1]))
-    rng = random.Random(42)
-    counts = Counter(best_in_array(s, 1, rng)[0] for _ in range(3000))
-    assert set(counts) == {0, 1, 2}
-    for v in counts:
-        assert abs(counts[v] / 3000 - 1 / 3) < 0.05
-
-
-def test_best_in_array_empty():
-    g = Graph.from_edges(3, [])
-    s = init_state(g, Partition(k=2, assign=[0, 0, 0]))
-    assert best_in_array(s, 0, random.Random(0)) is None
-    v, gain = best_in_array(s, 1, random.Random(0))
-    assert v in (0, 1, 2) and gain == 0
-
-
 def test_best_single_transfer_triangle(triangle):
     s = init_state(triangle, Partition(k=2, assign=[0, 1, 0]))
     v, t, gain = best_single_transfer(s, random.Random(0))
@@ -110,6 +84,26 @@ def test_best_single_transfer_returns_negative_best(triangle):
     s = init_state(triangle, Partition(k=2, assign=[0, 0, 1]))
     v, t, gain = best_single_transfer(s, random.Random(0))
     assert (v, t, gain) == (0, 1, -1)
+
+
+def test_best_single_transfer_uniform_tie_break():
+    # every gain is 0: array 1 holds {0, 1, 2} and array 0 holds {3}; ties
+    # pick an array uniformly, then a vertex uniformly within its top cell
+    g = Graph.from_edges(4, [])
+    s = init_state(g, Partition(k=2, assign=[0, 0, 0, 1]))
+    rng = random.Random(42)
+    counts = Counter(best_single_transfer(s, rng)[0] for _ in range(3000))
+    assert set(counts) == {0, 1, 2, 3}
+    assert abs(counts[3] / 3000 - 1 / 2) < 0.05
+    for v in (0, 1, 2):
+        assert abs(counts[v] / 3000 - 1 / 6) < 0.05
+
+
+def test_best_single_transfer_skips_empty_array():
+    g = Graph.from_edges(3, [])
+    s = init_state(g, Partition(k=2, assign=[0, 0, 0]))
+    v, t, gain = best_single_transfer(s, random.Random(0))
+    assert v in (0, 1, 2) and (t, gain) == (1, 0)
 
 
 def test_best_single_transfer_dominates_brute_force():

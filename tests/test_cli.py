@@ -185,3 +185,83 @@ def test_bench_missing_instance(tmp_path, capsys):
     rc = main(["bench", "--instances", "nope", "--dir", str(tmp_path),
                "--runs", "1", "--time-limit", "0.1"])
     assert rc == 1
+
+
+@pytest.mark.parametrize("flags", [
+    ["--rho", "1.5"],
+    ["--phi", "-3"],
+    ["--phi", "0"],
+    ["--omega", "0"],
+])
+def test_solve_out_of_range_param_is_input_error(tri_path, capsys, flags):
+    rc = main(["solve", "--instance", str(tri_path), "--k", "2",
+               "--time-limit", "0.1", *flags])
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_solve_negative_time_limit_is_input_error(tri_path, capsys):
+    rc = main(["solve", "--instance", str(tri_path), "--k", "2", "--time-limit", "-1"])
+    assert rc == 1
+    assert "time_limit" in capsys.readouterr().err
+
+
+def test_bench_k_above_n_is_input_error(tri_path, tmp_path, capsys):
+    out = tmp_path / "report.csv"
+    rc = main(["bench", "--instances", "tri.txt", "--dir", str(tri_path.parent),
+               "--k", "5", "--runs", "1", "--time-limit", "0.1", "--out", str(out)])
+    assert rc == 1
+    assert "k must satisfy" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bench_forwards_search_flags(tri_path, tmp_path, monkeypatch):
+    import maxkcut.cli
+
+    seen = []
+    real = maxkcut.cli.run_moh
+
+    def spy(g, params):
+        seen.append(params)
+        return real(g, params)
+
+    monkeypatch.setattr(maxkcut.cli, "run_moh", spy)
+    rc = main(["bench", "--instances", "tri.txt", "--dir", str(tri_path.parent),
+               "--k", "2", "--runs", "2", "--jobs", "1", "--time-limit", "0.1",
+               "--omega", "7", "--xi", "9", "--gamma-fraction", "0.5", "--phi", "0.25",
+               "--strategy", "union", "--out", str(tmp_path / "report.csv")])
+    assert rc == 0
+    assert [p.seed for p in seen] == [0, 1]
+    for p in seen:
+        assert (p.omega, p.xi, p.gamma_fraction, p.phi) == (7, 9, 0.5, 0.25)
+        assert (p.descent_strategy, p.time_limit) == ("union", 0.1)
+    assert "tri.txt,3,3,2,union," in (tmp_path / "report.csv").read_text()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_bench_bad_instance_is_input_error(tri_path, tmp_path, capsys, jobs):
+    (tmp_path / "short.txt").write_text("3 5\n1 2 1\n")
+    out = tmp_path / "report.csv"
+    rc = main(["bench", "--instances", "tri.txt,short.txt", "--dir", str(tmp_path),
+               "--k", "2", "--runs", "1", "--jobs", jobs, "--time-limit", "0.1",
+               "--out", str(out)])
+    assert rc == 1
+    assert "promised 5 edges" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bench_jobs_share_one_run_path(tri_path, tmp_path):
+    # Tiny instances reach their optimum in every run, so every column but
+    # the mean time to best is fixed by (instance, params, seed).
+    g = random_graph(random.Random(4), 9, 0.5)
+    (tmp_path / "r9.txt").write_text(write_instance(g))
+    rows = {}
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}.csv"
+        rc = main(["bench", "--instances", "tri.txt,r9.txt", "--dir", str(tmp_path),
+                   "--k", "2", "--runs", "3", "--jobs", jobs, "--time-limit", "0.2",
+                   "--base-seed", "5", "--out", str(out)])
+        assert rc == 0
+        rows[jobs] = [line.rsplit(",", 1)[0] for line in out.read_text().splitlines()]
+    assert len(rows["1"]) == 3
+    assert rows["2"] == rows["1"]

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from maxkcut.graph import Graph, GraphFormatError, graph_stats, parse_instance, write_instance
+from maxkcut.graph import Graph, GraphFormatError, parse_instance, write_instance
 
 TRIANGLE_TEXT = "3 3\n1 2 1\n1 3 2\n2 3 3"
 
@@ -30,13 +30,28 @@ def test_vertex_id_out_of_range():
 
 
 def test_self_loop_rejected():
-    with pytest.raises(GraphFormatError, match="self-loop"):
+    with pytest.raises(GraphFormatError, match="self-loop at line 2"):
         parse_instance("3 1\n2 2 1")
 
 
 def test_duplicate_edge_rejected():
-    with pytest.raises(GraphFormatError, match="duplicate"):
-        parse_instance("3 2\n1 2 1\n2 1 5")
+    with pytest.raises(GraphFormatError, match="duplicate edge at line 4"):
+        parse_instance("3 2\n1 2 1\n\n2 1 5")
+
+
+def test_from_edges_error_carries_edge_index():
+    with pytest.raises(GraphFormatError) as err:
+        Graph.from_edges(3, [(0, 1, 1), (2, 2, 1)])
+    assert (err.value.reason, err.value.edge) == ("self-loop", 1)
+    assert "in edge 1" in str(err.value)
+    with pytest.raises(GraphFormatError, match="out of range in edge 0"):
+        Graph.from_edges(2, [(0, 2, 1)])
+
+
+def test_token_errors_are_reported_before_edge_checks():
+    # edge lines are tokenized before Graph.from_edges validates them
+    with pytest.raises(GraphFormatError, match="malformed edge.* at line 3"):
+        parse_instance("3 2\n1 4 1\n1 x 1")
 
 
 def test_edge_count_mismatch():
@@ -71,27 +86,23 @@ def test_isolated_vertices_permitted():
 
 
 def test_stats_triangle():
-    stats = graph_stats(parse_instance(TRIANGLE_TEXT))
-    assert (stats.n, stats.m) == (3, 3)
-    assert stats.density == 1.0
-    assert (stats.min_weight, stats.max_weight) == (1, 3)
-    assert stats.max_degree == 2
-    assert stats.max_abs_incident_weight == 5
+    g = parse_instance(TRIANGLE_TEXT)
+    assert (g.n, g.m) == (3, 3)
+    assert g.max_degree == 2
+    assert g.max_abs_incident_weight == 5
 
 
 def test_stats_edgeless():
-    stats = graph_stats(parse_instance("2 0"))
-    assert (stats.n, stats.m, stats.density) == (2, 0, 0.0)
-    assert stats.min_weight is None
-    assert stats.max_degree == 0
-    assert stats.max_abs_incident_weight == 0
+    g = parse_instance("2 0")
+    assert (g.n, g.m) == (2, 0)
+    assert g.max_degree == 0
+    assert g.max_abs_incident_weight == 0
 
 
 def test_stats_star():
     g = Graph.from_edges(5, [(0, i, 1) for i in range(1, 5)])
-    stats = graph_stats(g)
-    assert stats.max_degree == 4
-    assert stats.max_abs_incident_weight == 4
+    assert g.max_degree == 4
+    assert g.max_abs_incident_weight == 4
 
 
 @st.composite

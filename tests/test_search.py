@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from maxkcut.oracle import exact_max_kcut
 from maxkcut.partition import Partition, evaluate
 from maxkcut.search import (
     SearchParams,
+    _BestTracker,
     descent_phase,
     diversified_phase,
     perturb,
@@ -24,29 +26,33 @@ def make_params(**kw):
     return SearchParams(**defaults)
 
 
+def tracker(s):
+    return _BestTracker(s, time_limit=5.0, target=None)
+
+
 def test_descent_triangle(triangle):
     s = init_state(triangle, Partition(k=2, assign=[0, 1, 0]))
     assert s.f == 4
-    descent_phase(s, make_params(sample_edges=False), random.Random(0))
+    descent_phase(s, make_params(phi=1.0), random.Random(0), tracker(s))
     assert s.f == 5
 
 
 def test_descent_needs_o2_for_swap(square4):
     s = init_state(square4, Partition(k=2, assign=[0, 1, 0, 1]))
-    descent_phase(s, make_params(sample_edges=False), random.Random(0))
+    descent_phase(s, make_params(phi=1.0), random.Random(0), tracker(s))
     assert s.f == 10
 
 
 def test_descent_o1_only_stalls_on_swap(square4):
     s = init_state(square4, Partition(k=2, assign=[0, 1, 0, 1]))
-    descent_phase(s, make_params(descent_strategy="o1_only"), random.Random(0))
+    descent_phase(s, make_params(descent_strategy="o1_only"), random.Random(0), tracker(s))
     assert s.f == 6  # the +4 swap needs a double transfer
 
 
 def test_descent_noop_at_optimum(triangle):
     s = init_state(triangle, Partition(k=3, assign=[0, 1, 2]))
     it0 = s.iter
-    descent_phase(s, make_params(k=3, sample_edges=False), random.Random(0))
+    descent_phase(s, make_params(k=3, phi=1.0), random.Random(0), tracker(s))
     assert s.iter == it0
 
 
@@ -58,8 +64,8 @@ def test_descent_leaves_no_positive_single_transfer(strategy):
         k = rng.randint(2, min(4, g.n))
         assign = [rng.randrange(k) for _ in range(g.n)]
         s = init_state(g, Partition(k=k, assign=assign))
-        params = make_params(k=k, descent_strategy=strategy, sample_edges=False)
-        descent_phase(s, params, rng)
+        params = make_params(k=k, descent_strategy=strategy, phi=1.0)
+        descent_phase(s, params, rng, tracker(s))
         table = brute_gain_table(g, k, s.partition.assign)
         assert max(table.values()) <= 0
 
@@ -74,7 +80,7 @@ def test_diversified_rho_extremes():
         tabu = TabuList(g.n)
         params = make_params(k=3, rho=rho, omega=20)
         iters_before = s.iter
-        diversified_phase(s, tabu, 10**9, s.f, params, rng)
+        diversified_phase(s, tabu, 10**9, params, rng, tracker(s))
         moves = s.iter - iters_before
         if expect_double:
             # O4 applies two transfers per move (when a pair exists)
@@ -90,7 +96,7 @@ def test_diversified_exits_on_improvement(square4):
     s = init_state(square4, Partition(k=2, assign=[0, 1, 0, 1]))
     tabu = TabuList(4)
     params = make_params(omega=500, rho=0.0)
-    diversified_phase(s, tabu, 6, 6, params, rng)
+    diversified_phase(s, tabu, 6, params, rng, tracker(s))
     assert s.f > 6
 
 
@@ -101,7 +107,7 @@ def test_diversified_move_count_boundary():
     tabu = TabuList(4)
     params = make_params(omega=5, rho=1.0)
     it0 = s.iter
-    diversified_phase(s, tabu, 0, 0, params, rng)
+    diversified_phase(s, tabu, 0, params, rng, tracker(s))
     # exit at c_div > omega: exactly omega + 1 O3 moves applied
     assert s.iter - it0 == 6
 
@@ -112,7 +118,7 @@ def test_perturb_strength():
     assign = [rng.randrange(2) for _ in range(30)]
     s = init_state(g, Partition(k=2, assign=assign))
     it0 = s.iter
-    perturb(s, make_params(gamma_fraction=0.1), rng)
+    perturb(s, make_params(gamma_fraction=0.1), rng, tracker(s))
     assert s.iter - it0 == 3
 
 
@@ -121,7 +127,7 @@ def test_perturb_clamped_to_one():
     rng = random.Random(3)
     s = init_state(g, Partition(k=2, assign=[0, 0, 1, 1, 0]))
     it0 = s.iter
-    perturb(s, make_params(gamma_fraction=0.1), rng)
+    perturb(s, make_params(gamma_fraction=0.1), rng, tracker(s))
     assert s.iter - it0 == 1
 
 
@@ -130,7 +136,7 @@ def test_perturb_keeps_f_coherent():
     g = random_graph(rng, 20, 0.4)
     assign = [rng.randrange(3) for _ in range(20)]
     s = init_state(g, Partition(k=3, assign=assign))
-    perturb(s, make_params(k=3), rng)
+    perturb(s, make_params(k=3), rng, tracker(s))
     assert s.f == brute_objective(g, s.partition.assign)
 
 
@@ -180,6 +186,12 @@ def test_run_invalid_params(triangle):
         run_moh(triangle, make_params(rho=1.5))
     with pytest.raises(ValueError):
         run_moh(triangle, make_params(omega=0))
+    with pytest.raises(ValueError, match="phi"):
+        run_moh(triangle, make_params(phi=0.0))
+    with pytest.raises(ValueError, match="time_limit"):
+        run_moh(triangle, make_params(time_limit=-1.0))
+    with pytest.raises(ValueError, match="k must"):
+        run_moh(triangle, make_params(k=1))
 
 
 def test_time_budget_is_respected():
@@ -190,3 +202,72 @@ def test_time_budget_is_respected():
     t0 = time.perf_counter()
     run_moh(g, make_params(k=3, time_limit=0.3, seed=2))
     assert time.perf_counter() - t0 < 2.0
+
+
+def test_large_k_stays_small():
+    # k = n = 150: any coefficient table over all subset quadruples would hold
+    # k**4 = 5e8 entries.  One round runs O1/O2 and the O3/O4 phase; the
+    # gain table itself is n*k entries.
+    import time
+    import tracemalloc
+
+    g = random_graph(random.Random(7), 150, 0.03)
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        result = run_moh(g, make_params(k=150, omega=50, max_rounds=1, time_limit=60.0))
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.rounds == 1
+    assert elapsed < 20.0
+    assert peak < 8 * 2**20
+    assert evaluate(g, result.best_partition) == result.f_best
+
+
+# Move-sequence fingerprint of run_moh: the SHA-256 of every applied
+# (vertex, target) transfer, with f_best and the iteration count, for a fixed
+# (instance, params, seed).  xi=2 makes O5 perturbation fire and the default
+# phi makes O2 sample edges, so every operator contributes moves.  A change
+# that alters the search trajectory fails here, however small.
+MOVE_DIGESTS = {
+    # (k, strategy): (sha256 of the move sequence, f_best, total_iterations)
+    (2, "sequential"): ("b06bc1d040cc17d5694b1c57c5ada002d8bdcfe6ca0d0bfe65d44561b52d04d9", 272, 6310),
+    (2, "o1_only"): ("a5e799fde523236b230ff94ffeb7bafda38944af803e406c256d77cfd4efc5e3", 272, 6962),
+    (2, "union"): ("eb7f6555fc5c736fea545b4860e62a1b07944687404d9352afa34dac7d2a491d", 272, 7823),
+    (2, "random_mix"): ("067e56af5898de8663aa648371479d8eeeee7431aa39bf42918a024aed622a34", 272, 7633),
+    (3, "sequential"): ("6b2bde5d8e11995040cad800cd52b7cdfb8d95daee6a23ac08abd235233069e6", 315, 6569),
+    (3, "o1_only"): ("eef44a5f99992ab287341f62704db3d5189eadc3ccba9e812b001438a669a389", 323, 6879),
+    (3, "union"): ("b600deeefef6d80af3e1750309defb7cefdfd72fb9cbf8b31c2a1243e4861a86", 323, 6112),
+    (3, "random_mix"): ("a4f49a2df22820766ba9f4357ea40c47a3a09dba2c4184895a1c45b5a27c019a", 315, 6931),
+    (4, "sequential"): ("334ebb6f29a70e596d146094479508518228c2563e368eb6f318e56a3635e95b", 339, 6456),
+    (4, "o1_only"): ("2e2654f9bf6dc2912b5474d3fad653f4e9127f0eaeba03c0d15997d345bc947f", 339, 5197),
+    (4, "union"): ("488172e9e3593ee9959a090b8413dc093f5931efe86145cbb02ae623de07993d", 339, 7537),
+    (4, "random_mix"): ("511a018bca6b223d7e1a78eed1d248f3e6306b19fd63ecb90fcb186861b87300", 339, 5419),
+}
+
+
+def _move_digest(monkeypatch, k, strategy):
+    import maxkcut.operators as operators
+
+    g = random_graph(random.Random(1510), 40, 0.3)
+    moves = []
+    apply = operators.apply_single_transfer
+
+    def record(s, v, t):
+        moves.append(f"{v}:{t}")
+        return apply(s, v, t)
+
+    monkeypatch.setattr(operators, "apply_single_transfer", record)
+    params = SearchParams(k=k, seed=7, max_rounds=20, xi=2, time_limit=600.0,
+                          descent_strategy=strategy)
+    result = run_moh(g, params)
+    digest = hashlib.sha256(",".join(moves).encode()).hexdigest()
+    return digest, result.f_best, result.total_iterations
+
+
+@pytest.mark.parametrize("strategy", ["sequential", "o1_only", "union", "random_mix"])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_move_sequence_digest(monkeypatch, k, strategy):
+    assert _move_digest(monkeypatch, k, strategy) == MOVE_DIGESTS[(k, strategy)]
