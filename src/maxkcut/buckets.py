@@ -141,18 +141,43 @@ def apply_single_transfer(s: SearchState, v: int, t: int) -> int:
     s.f += gain
 
     # Neighbor rows: Delta_{u->y} += w * (-[c_u=c] + [c_u=t] - [y=t] + [y=c]).
+    # The coefficient depends only on which of three cases c_u falls in, so
+    # each case's (array, coefficient) plan is built once per move.  Arrays
+    # are independent lists, so any order over y within one neighbor keeps
+    # every cell's member order; neighbors go in adjacency order.
+    plan_c = [(y, -2 if y == t else -1) for y in range(k) if y != c]
+    plan_t = [(y, 2 if y == c else 1) for y in range(k) if y != t]
+    plan_other = [(c, 1), (t, -1)]
+    heads, nxt, prv, gmax = s.heads, s.nxt, s.prv, s.gmax
+    off = s.offset
     for u, w in s.graph.adjacency[v]:
         if w == 0:
             continue
         cu = assign[u]
-        base = (1 if cu == t else 0) - (1 if cu == c else 0)
+        plan = plan_c if cu == c else plan_t if cu == t else plan_other
         urow = delta[u]
-        for y in range(k):
-            if y == cu:
-                continue
-            dd = base + (1 if y == c else 0) - (1 if y == t else 0)
-            if dd:
-                s._shift(y, u, urow[y] + w * dd)
+        for y, dd in plan:
+            old = urow[y]
+            new = old + w * dd
+            urow[y] = new
+            hy, ny, py = heads[y], nxt[y], prv[y]
+            # Unlink u from its old cell, then push it to the new cell's head.
+            p, nx = py[u], ny[u]
+            if p != NIL:
+                ny[p] = nx
+            else:
+                hy[old + off] = nx
+            if nx != NIL:
+                py[nx] = p
+            idx = new + off
+            h = hy[idx]
+            ny[u] = h
+            py[u] = NIL
+            if h != NIL:
+                py[h] = u
+            hy[idx] = u
+            if idx > gmax[y]:
+                gmax[y] = idx
 
     # Moved vertex: leave array t, join array c; gains toward third subsets
     # all shift by -gain (the new origin subset is t instead of c).

@@ -125,6 +125,10 @@ def cmd_solve(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.runs < 1:
+        raise InputError("--runs must be >= 1")
+    if args.jobs < 1:
+        raise InputError("--jobs must be >= 1")
     if args.instances:
         names = [s.strip() for s in args.instances.split(",") if s.strip()]
         base = Path(args.dir) if args.dir else Path(".")
@@ -147,7 +151,12 @@ def cmd_bench(args) -> int:
         strategies = ["o1_only", "union", "random_mix", "sequential"]
     rhos = [args.rho]
     if args.ablate == "rho":
-        rhos = [float(x) for x in args.rho_values.split(",")]
+        rhos = []
+        for token in args.rho_values.split(","):
+            try:
+                rhos.append(float(token))
+            except ValueError:
+                raise InputError(f"--rho-values: {token.strip()!r} is not a number") from None
 
     # Every instance is parsed once and every run's parameters are checked
     # before the first run, so a bad input fails the bench as a whole.
@@ -176,8 +185,6 @@ def cmd_bench(args) -> int:
     writer.writerow(BENCH_COLUMNS)
     for c, (path, g, strategy, rho) in enumerate(cells):
         runs = results[c * args.runs:(c + 1) * args.runs]
-        if not runs:
-            continue
         fs = [r.f_best for r in runs]
         writer.writerow(
             [

@@ -36,10 +36,13 @@ class Graph:
     adjacency[v] lists (neighbor, weight) pairs, symmetric by construction.
     max_abs_incident_weight is the largest sum of |w| over the edges incident
     to any single vertex; it bounds every single-transfer move gain.
+    nonzero_edges lists the edges of nonzero weight in input order; it is
+    the edges tuple itself when no edge weighs 0.
     """
 
     n: int
     edges: tuple[tuple[int, int, int], ...]
+    nonzero_edges: tuple[tuple[int, int, int], ...]
     adjacency: tuple[tuple[tuple[int, int], ...], ...]
     max_degree: int
     max_abs_incident_weight: int
@@ -71,9 +74,13 @@ class Graph:
             adj[v].append((u, w))
         max_degree = max((len(a) for a in adj), default=0)
         big_w = max((sum(abs(w) for _, w in a) for a in adj), default=0)
+        nonzero = edges
+        if any(w == 0 for _, _, w in edges):
+            nonzero = tuple(e for e in edges if e[2] != 0)
         return cls(
             n=n,
             edges=edges,
+            nonzero_edges=nonzero,
             adjacency=tuple(tuple(a) for a in adj),
             max_degree=max_degree,
             max_abs_incident_weight=big_w,

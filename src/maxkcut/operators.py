@@ -104,7 +104,7 @@ def op2_select(
     assign = s.partition.assign
     delta = s.delta
     k = s.partition.k
-    candidates = [e for e in s.graph.edges if e[2] != 0]
+    candidates = s.graph.nonzero_edges
     if not candidates:
         return None
     if max_edges is not None and max_edges < len(candidates):

@@ -76,6 +76,9 @@ def assert_coherent(g: Graph, s: SearchState) -> None:
     for (v, x), gain in expected.items():
         assert s.delta[v][x] == gain, f"delta[{v}][{x}]"
     assert bucket_snapshot(s) == expected
+    for i in range(k):
+        top = max((idx for idx, v in enumerate(s.heads[i]) if v != NIL), default=0)
+        assert s.gmax[i] >= top, f"gmax of array {i} below its top cell"
     sizes = [0] * k
     for a in assign:
         sizes[a] += 1

@@ -2,6 +2,7 @@ import random
 from collections import Counter
 
 from hypothesis import given, settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from maxkcut.buckets import (
     apply_single_transfer,
@@ -9,9 +10,24 @@ from maxkcut.buckets import (
     init_state,
 )
 from maxkcut.graph import Graph
+from maxkcut.operators import (
+    apply_move,
+    op1_select,
+    op2_select,
+    op3_select,
+    op4_select,
+    op5_apply,
+)
 from maxkcut.partition import Partition
+from maxkcut.tabu import TabuList
 
-from conftest import assert_coherent, brute_gain_table, bucket_snapshot, random_graph
+from conftest import (
+    assert_coherent,
+    brute_gain_table,
+    brute_objective,
+    bucket_snapshot,
+    random_graph,
+)
 
 
 def test_init_triangle_gains(triangle):
@@ -141,3 +157,82 @@ def test_gain_coherence_random_walk(seed):
         assert s.f == f_prev + gain  # f-telescoping
         f_prev = s.f
     assert_coherent(g, s)
+
+
+@st.composite
+def signed_instances(draw):
+    """(graph, k, assign): a random signed graph, zero weights included, and
+    a random assignment into k in [2, 5] subsets, possibly leaving some empty."""
+    k = draw(st.integers(min_value=2, max_value=5))
+    n = draw(st.integers(min_value=2, max_value=9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
+    weight = st.one_of(st.just(0), st.integers(min_value=-6, max_value=6))
+    g = Graph.from_edges(n, [(u, v, draw(weight)) for u, v in chosen])
+    assign = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    return g, k, assign
+
+
+class GainTableMachine(RuleBasedStateMachine):
+    """Interleaves raw transfers, O1-O4 moves and O5 kicks on one state; the
+    gain table, buckets and f must match a from-scratch recompute after every
+    step, and every reported gain must equal the objective's change."""
+
+    @initialize(instance=signed_instances(), seed=st.integers(0, 2**32 - 1))
+    def setup(self, instance, seed):
+        self.g, k, assign = instance
+        self.s = init_state(self.g, Partition(k=k, assign=assign))
+        self.rng = random.Random(seed)
+        self.tabu = TabuList(self.g.n)
+        self.f_best = self.s.f
+
+    def _apply(self, move):
+        if move is None:
+            return
+        before = brute_objective(self.g, self.s.partition.assign)
+        for tr in (move.first, move.second):
+            if tr is not None:
+                self.tabu.record(tr.vertex, tr.origin, self.s.iter, self.rng)
+        apply_move(self.s, move)
+        assert move.gain == brute_objective(self.g, self.s.partition.assign) - before
+        self.f_best = max(self.f_best, self.s.f)
+
+    @rule(data=st.data())
+    def transfer(self, data):
+        k = self.s.partition.k
+        v = data.draw(st.integers(0, self.g.n - 1))
+        c = self.s.partition.assign[v]
+        t = data.draw(st.integers(0, k - 1).filter(lambda x: x != c))
+        before = brute_objective(self.g, self.s.partition.assign)
+        gain = apply_single_transfer(self.s, v, t)
+        assert gain == brute_objective(self.g, self.s.partition.assign) - before
+
+    @rule()
+    def o1(self):
+        self._apply(op1_select(self.s, self.rng))
+
+    @rule(cap=st.none() | st.integers(1, 4))
+    def o2(self, cap):
+        self._apply(op2_select(self.s, self.rng, cap))
+
+    @rule()
+    def o3(self):
+        self._apply(op3_select(self.s, self.tabu, self.f_best, self.rng))
+
+    @rule()
+    def o4(self):
+        self._apply(op4_select(self.s, self.rng))
+
+    @rule()
+    def o5(self):
+        op5_apply(self.s, self.rng)
+
+    @invariant()
+    def coherent(self):
+        assert_coherent(self.g, self.s)
+
+
+GainTableMachine.TestCase.settings = settings(
+    max_examples=150, stateful_step_count=40, deadline=None
+)
+test_gain_table_state_machine = GainTableMachine.TestCase

@@ -187,6 +187,26 @@ def test_bench_missing_instance(tmp_path, capsys):
     assert rc == 1
 
 
+def test_bench_bad_rho_value_is_input_error(tri_path, tmp_path, capsys):
+    out = tmp_path / "rho.csv"
+    rc = main(["bench", "--instances", "tri.txt", "--dir", str(tri_path.parent),
+               "--ablate", "rho", "--rho-values", "0,abc", "--runs", "1",
+               "--time-limit", "0.1", "--out", str(out)])
+    assert rc == 1
+    assert "'abc'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--jobs", "--runs"])
+def test_bench_count_below_one_is_input_error(tri_path, tmp_path, capsys, flag):
+    out = tmp_path / "report.csv"
+    rc = main(["bench", "--instances", "tri.txt", "--dir", str(tri_path.parent),
+               "--runs", "1", "--time-limit", "0.1", flag, "0", "--out", str(out)])
+    assert rc == 1
+    assert f"{flag} must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags", [
     ["--rho", "1.5"],
     ["--phi", "-3"],

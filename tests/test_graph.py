@@ -105,6 +105,17 @@ def test_stats_star():
     assert g.max_abs_incident_weight == 4
 
 
+def test_nonzero_edges_drop_zero_weights_in_order():
+    g = Graph.from_edges(4, [(0, 1, 2), (1, 2, 0), (2, 3, -1), (0, 3, 0), (0, 2, 5)])
+    assert g.nonzero_edges == ((0, 1, 2), (2, 3, -1), (0, 2, 5))
+    assert g.m == 5
+
+
+def test_nonzero_edges_alias_edges_without_zero_weights():
+    g = Graph.from_edges(3, [(0, 1, 1), (1, 2, -3)])
+    assert g.nonzero_edges is g.edges
+
+
 @st.composite
 def graphs(draw):
     n = draw(st.integers(min_value=1, max_value=8))
@@ -123,3 +134,8 @@ def test_roundtrip(g):
 def test_adjacency_weight_sum_is_double_edge_sum(g):
     adj_total = sum(w for a in g.adjacency for _, w in a)
     assert adj_total == 2 * sum(w for _, _, w in g.edges)
+
+
+@given(graphs())
+def test_nonzero_edges_filter_edges(g):
+    assert g.nonzero_edges == tuple(e for e in g.edges if e[2] != 0)

@@ -197,6 +197,22 @@ def test_op2_sampling_caps_edges(square4):
     assert any(m is not None for m in seen)
 
 
+def test_op2_sampling_skips_zero_weight_edges():
+    # Zero-weight edges join the vertices with the best single gains, so a
+    # sample that drew one would return it; a 1-edge cap samples among the
+    # nonzero edges only.
+    rng = random.Random(23)
+    for _ in range(40):
+        g = random_graph(rng, rng.randint(4, 9), 0.7, wmin=-1, wmax=1)
+        weight = {frozenset((u, v)): w for u, v, w in g.edges}
+        k = rng.randint(2, 4)
+        s = init_state(g, Partition(k=k, assign=[rng.randrange(k) for _ in range(g.n)]))
+        for cap in (1, 2):
+            m = op2_select(s, rng, max_edges=cap)
+            if m is not None:
+                assert weight[frozenset((m.first.vertex, m.second.vertex))] != 0
+
+
 TRI_TABU_STATE = [0, 0, 1]  # gains: v0->S2 = -1, v1->S2 = -2, v2->S1 = -5
 
 
