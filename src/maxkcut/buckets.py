@@ -2,37 +2,29 @@
 
 For each subset i there is a bucket array B_i of 2W+1 cells (W = the largest
 absolute incident weight sum of any vertex, which bounds every gain).  Cell
-``gain + W`` of B_i holds a doubly linked list of the vertices outside S_i
-whose gain for moving into S_i currently equals ``gain``.  A per-array top
-marker (gmax) is raised eagerly on insertion and lowered lazily on queries.
+``gain + W`` of B_i is a dict used as an insertion-ordered set of the
+vertices outside S_i whose gain for moving into S_i currently equals
+``gain``.  Every gain change deletes the vertex from its cell and re-inserts
+it, so a cell read backwards lists its members by last arrival, newest
+first.  A per-array top marker (gmax) is raised eagerly on insertion and
+lowered lazily on queries.  Only this module knows the cell layout; the
+selectors read it through cells_descending/descending.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 
 from .graph import Graph
 from .partition import Partition, evaluate
-
-NIL = -1
 
 
 class SearchState:
     """Partition plus objective, gain table, and bucket structure, kept
     mutually coherent under apply_single_transfer."""
 
-    __slots__ = (
-        "graph",
-        "partition",
-        "f",
-        "delta",
-        "heads",
-        "nxt",
-        "prv",
-        "gmax",
-        "offset",
-        "iter",
-    )
+    __slots__ = ("graph", "partition", "f", "delta", "cells", "gmax", "offset", "iter")
 
     def __init__(self, graph: Graph, partition: Partition):
         self.graph = graph
@@ -61,60 +53,53 @@ class SearchState:
             row[assign[v]] = 0
         self.delta = delta
         self.f = evaluate(g, self.partition)
-        self.heads = [[NIL] * ncells for _ in range(k)]
-        self.nxt = [[NIL] * n for _ in range(k)]
-        self.prv = [[NIL] * n for _ in range(k)]
+        self.cells: list[list[dict[int, None]]] = [
+            [{} for _ in range(ncells)] for _ in range(k)
+        ]
         self.gmax = [0] * k
         for i in range(k):
             for v in range(n):
                 if assign[v] != i:
                     self._insert(i, v)
 
-    # -- intrusive doubly linked list plumbing --------------------------------
-
     def _insert(self, i: int, v: int) -> None:
         idx = self.delta[v][i] + self.offset
-        heads = self.heads[i]
-        old = heads[idx]
-        self.nxt[i][v] = old
-        self.prv[i][v] = NIL
-        if old != NIL:
-            self.prv[i][old] = v
-        heads[idx] = v
+        self.cells[i][idx][v] = None
         if idx > self.gmax[i]:
             self.gmax[i] = idx
 
     def _remove(self, i: int, v: int) -> None:
-        idx = self.delta[v][i] + self.offset
-        p, nx = self.prv[i][v], self.nxt[i][v]
-        if p != NIL:
-            self.nxt[i][p] = nx
-        else:
-            self.heads[i][idx] = nx
-        if nx != NIL:
-            self.prv[i][nx] = p
-
-    def _shift(self, i: int, v: int, new_gain: int) -> None:
-        self._remove(i, v)
-        self.delta[v][i] = new_gain
-        self._insert(i, v)
+        del self.cells[i][self.delta[v][i] + self.offset][v]
 
     def _true_gmax(self, i: int) -> int:
-        """Lower gmax to the true top non-empty cell; NIL when B_i is empty."""
-        heads = self.heads[i]
+        """Lower gmax to the true top non-empty cell; -1 when B_i is empty."""
+        cells = self.cells[i]
         idx = self.gmax[i]
-        while idx >= 0 and heads[idx] == NIL:
+        while idx >= 0 and not cells[idx]:
             idx -= 1
         self.gmax[i] = idx if idx >= 0 else 0
         return idx
 
     def cell_members(self, i: int, idx: int) -> list[int]:
-        out = []
-        v = self.heads[i][idx]
-        while v != NIL:
-            out.append(v)
-            v = self.nxt[i][v]
-        return out
+        """Members of cell idx of B_i, newest first."""
+        return list(reversed(self.cells[i][idx]))
+
+    def cells_descending(self, i: int) -> Iterator[tuple[int, Iterator[int]]]:
+        """(gain, members newest first) for each non-empty cell of B_i, top
+        cell first.  The state must not change while this is iterated."""
+        cells = self.cells[i]
+        off = self.offset
+        for idx in range(self._true_gmax(i), -1, -1):
+            cell = cells[idx]
+            if cell:
+                yield idx - off, reversed(cell)
+
+    def descending(self, i: int) -> Iterator[tuple[int, int]]:
+        """(vertex, gain) for every entry of B_i in non-increasing gain
+        order, newest first within a cell."""
+        for gain, members in self.cells_descending(i):
+            for v in members:
+                yield v, gain
 
 
 def init_state(g: Graph, p: Partition) -> SearchState:
@@ -143,12 +128,12 @@ def apply_single_transfer(s: SearchState, v: int, t: int) -> int:
     # Neighbor rows: Delta_{u->y} += w * (-[c_u=c] + [c_u=t] - [y=t] + [y=c]).
     # The coefficient depends only on which of three cases c_u falls in, so
     # each case's (array, coefficient) plan is built once per move.  Arrays
-    # are independent lists, so any order over y within one neighbor keeps
+    # are independent, so any order over y within one neighbor keeps
     # every cell's member order; neighbors go in adjacency order.
     plan_c = [(y, -2 if y == t else -1) for y in range(k) if y != c]
     plan_t = [(y, 2 if y == c else 1) for y in range(k) if y != t]
     plan_other = [(c, 1), (t, -1)]
-    heads, nxt, prv, gmax = s.heads, s.nxt, s.prv, s.gmax
+    cells, gmax = s.cells, s.gmax
     off = s.offset
     for u, w in s.graph.adjacency[v]:
         if w == 0:
@@ -160,38 +145,25 @@ def apply_single_transfer(s: SearchState, v: int, t: int) -> int:
             old = urow[y]
             new = old + w * dd
             urow[y] = new
-            hy, ny, py = heads[y], nxt[y], prv[y]
-            # Unlink u from its old cell, then push it to the new cell's head.
-            p, nx = py[u], ny[u]
-            if p != NIL:
-                ny[p] = nx
-            else:
-                hy[old + off] = nx
-            if nx != NIL:
-                py[nx] = p
+            cy = cells[y]
+            del cy[old + off][u]
             idx = new + off
-            h = hy[idx]
-            ny[u] = h
-            py[u] = NIL
-            if h != NIL:
-                py[h] = u
-            hy[idx] = u
+            cy[idx][u] = None
             if idx > gmax[y]:
                 gmax[y] = idx
 
     # Moved vertex: leave array t, join array c; gains toward third subsets
-    # all shift by -gain (the new origin subset is t instead of c).
-    old_t_gain = gain
+    # all shift by -gain (the new origin subset is t instead of c).  Each
+    # shift re-inserts v, also when gain is 0 and its cell stays the same.
     s._remove(t, v)
     assign[v] = t
-    part.sizes[c] -= 1
-    part.sizes[t] += 1
     for x in range(k):
-        if x == c or x == t:
-            continue
-        s._shift(x, v, row[x] - old_t_gain)
+        if x != c and x != t:
+            s._remove(x, v)
+            row[x] -= gain
+            s._insert(x, v)
     row[t] = 0
-    row[c] = -old_t_gain
+    row[c] = -gain
     s._insert(c, v)
 
     s.iter += 1

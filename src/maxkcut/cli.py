@@ -215,15 +215,16 @@ def cmd_check(args) -> int:
         text = Path(args.solution).read_text()
     except OSError as e:
         raise InputError(f"cannot read solution {args.solution}: {e}") from e
-    claimed = None
-    if text.lstrip().startswith("{"):
-        _, k, claimed, assign = solution_from_json(text)
-    else:
-        if args.k is None:
-            raise InputError("plain-text solutions need --k")
-        k = args.k
-        assign = solution_from_text(text)
-        claimed = args.objective
+    k, claimed = args.k, args.objective
+    try:
+        if text.lstrip().startswith("{"):
+            _, k, claimed, assign = solution_from_json(text)
+        else:
+            assign = solution_from_text(text)
+    except ValueError as e:
+        raise InputError(f"invalid solution {args.solution}: {e}") from e
+    if k is None:
+        raise InputError("plain-text solutions need --k")
     if len(assign) != g.n:
         raise InputError(f"assignment length {len(assign)} != n={g.n}")
     p = Partition(k=k, assign=assign)
@@ -253,6 +254,8 @@ def cmd_oracle(args) -> int:
         opt, p = exact_max_kcut(g, args.k, **kwargs)
     except OracleGuardError as e:
         raise InputError(f"{e} (use --force to override)") from e
+    except ValueError as e:
+        raise InputError(str(e)) from e
     print(f"optimum: {opt}")
     print(f"assign: {' '.join(str(s) for s in p.assign)}")
     return 0

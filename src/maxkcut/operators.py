@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .buckets import NIL, SearchState, apply_single_transfer, best_single_transfer
+from .buckets import SearchState, apply_single_transfer, best_single_transfer
 from .tabu import TabuList
 
 
@@ -148,68 +148,50 @@ def op3_select(
     """Best single transfer among moves that are not tabu or that aspirate
     (would strictly beat f_best).  Falls back to the unrestricted best move
     when every candidate is tabu and none aspirates."""
-    k = s.partition.k
-    offset = s.offset
-    best_idx = None
+    best: int | None = None
     per_array: dict[int, list[int]] = {}
-    for i in range(k):
-        idx = s._true_gmax(i)
-        while idx >= 0:
-            if s.heads[i][idx] != NIL:
-                gain = idx - offset
-                admissible = [
-                    v
-                    for v in s.cell_members(i, idx)
-                    if not tabu.is_forbidden(v, i, s.iter) or s.f + gain > f_best
-                ]
-                if admissible:
-                    if best_idx is None or idx > best_idx:
-                        best_idx = idx
-                        per_array = {i: admissible}
-                    elif idx == best_idx:
-                        per_array[i] = admissible
-                    break
-                if best_idx is not None and idx - 1 < best_idx:
-                    break
-            idx -= 1
-    if best_idx is None:
+    for i in range(s.partition.k):
+        for gain, members in s.cells_descending(i):
+            if best is not None and gain < best:
+                break
+            admissible = [
+                v
+                for v in members
+                if not tabu.is_forbidden(v, i, s.iter) or s.f + gain > f_best
+            ]
+            if admissible:
+                if best is None or gain > best:
+                    best = gain
+                    per_array = {i: admissible}
+                else:
+                    per_array[i] = admissible
+                break
+    if best is None:
         v, t, gain = best_single_transfer(s, rng)
         return Move(gain=gain, first=Transfer(v, s.partition.assign[v], t))
     i = rng.choice(sorted(per_array))
     v = rng.choice(per_array[i])
-    return Move(gain=best_idx - offset, first=Transfer(v, s.partition.assign[v], i))
+    return Move(gain=best, first=Transfer(v, s.partition.assign[v], i))
 
 
 class _DescendingScan:
-    """Lazy view of one bucket array in non-increasing gain order, with a
-    cached prefix for repeated partial scans."""
+    """Cached prefix of s.descending(i), for repeated partial scans of one
+    bucket array in non-increasing gain order."""
 
-    __slots__ = ("s", "i", "items", "_idx", "_cursor", "_done")
+    __slots__ = ("items", "_rest")
 
     def __init__(self, s: SearchState, i: int):
-        self.s = s
-        self.i = i
         self.items: list[tuple[int, int]] = []
-        self._idx = s._true_gmax(i)
-        self._cursor = s.heads[i][self._idx] if self._idx >= 0 else NIL
-        self._done = self._idx < 0
+        self._rest = s.descending(i)
 
     def get(self, pos: int) -> tuple[int, int] | None:
         items = self.items
-        while len(items) <= pos and not self._done:
-            if self._cursor != NIL:
-                items.append((self._cursor, self._idx - self.s.offset))
-                self._cursor = self.s.nxt[self.i][self._cursor]
-                continue
-            self._idx -= 1
-            heads = self.s.heads[self.i]
-            while self._idx >= 0 and heads[self._idx] == NIL:
-                self._idx -= 1
-            if self._idx < 0:
-                self._done = True
-            else:
-                self._cursor = heads[self._idx]
-        return items[pos] if pos < len(items) else None
+        while len(items) <= pos:
+            entry = next(self._rest, None)
+            if entry is None:
+                return None
+            items.append(entry)
+        return items[pos]
 
 
 # After this many tied-gain candidate pairs, O4 stops widening the tie pool

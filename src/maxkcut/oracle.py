@@ -38,7 +38,7 @@ def exact_max_kcut(
         )
     n = g.n
     if n == 0:
-        return 0, Partition(k=k, assign=[], sizes=[0] * k)
+        return 0, Partition(k=k, assign=[])
     # lower_adj[v]: neighbors with smaller index, for incremental cut weight
     lower_adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for u, v, w in g.edges:

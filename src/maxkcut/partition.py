@@ -11,19 +11,10 @@ from .graph import Graph
 
 @dataclass
 class Partition:
-    """Assignment of every vertex to one of k subsets, with cached sizes."""
+    """Assignment of every vertex to one of k subsets."""
 
     k: int
     assign: list[int]
-    sizes: list[int] = field(default_factory=list)
-
-    def __post_init__(self):
-        if not self.sizes:
-            sizes = [0] * self.k
-            for s in self.assign:
-                if 0 <= s < self.k:
-                    sizes[s] += 1
-            self.sizes = sizes
 
 
 def random_initial(g: Graph, k: int, rng: random.Random) -> Partition:
@@ -45,7 +36,7 @@ def random_initial(g: Graph, k: int, rng: random.Random) -> Partition:
         sizes[assign[v]] -= 1
         assign[v] = target
         sizes[target] += 1
-    return Partition(k=k, assign=assign, sizes=sizes)
+    return Partition(k=k, assign=assign)
 
 
 def evaluate(g: Graph, p: Partition) -> int:
@@ -66,7 +57,7 @@ class ValidationReport:
 
 
 def validate(g: Graph, p: Partition) -> ValidationReport:
-    """Check assignment range and size consistency.
+    """Check assignment length and subset range.
 
     Empty subsets are reported as warnings, not errors: single-transfer moves
     may legitimately empty a subset during search.
@@ -79,12 +70,10 @@ def validate(g: Graph, p: Partition) -> ValidationReport:
         if not (0 <= s < p.k):
             report.errors.append(f"vertex {v}: subset index {s} out of range 0..{p.k - 1}")
     if not report.errors:
-        true_sizes = [0] * p.k
+        sizes = [0] * p.k
         for s in p.assign:
-            true_sizes[s] += 1
-        if list(p.sizes) != true_sizes:
-            report.errors.append("sizes mismatch")
-        for i, c in enumerate(true_sizes):
+            sizes[s] += 1
+        for i, c in enumerate(sizes):
             if c == 0:
                 report.warnings.append(f"empty subset {i}")
     return report
@@ -106,14 +95,20 @@ def solution_to_text(p: Partition) -> str:
 
 
 def solution_from_json(text: str) -> tuple[str, int, int, list[int]]:
-    """Returns (instance, k, claimed objective, assignment)."""
+    """Returns (instance, k, claimed objective, assignment).  A malformed
+    document raises ValueError."""
     doc = json.loads(text)
-    return (
-        str(doc["instance"]),
-        int(doc["k"]),
-        int(doc["objective"]),
-        [int(s) for s in doc["assign"]],
-    )
+    try:
+        return (
+            str(doc["instance"]),
+            int(doc["k"]),
+            int(doc["objective"]),
+            [int(s) for s in doc["assign"]],
+        )
+    except KeyError as e:
+        raise ValueError(f"missing field {e}") from None
+    except TypeError as e:
+        raise ValueError(f"malformed field: {e}") from None
 
 
 def solution_from_text(text: str) -> list[int]:

@@ -53,9 +53,10 @@ class SearchParams:
             raise ValueError("rho must be in [0, 1]")
         if not (0.0 < self.gamma_fraction <= 1.0):
             raise ValueError("gamma_fraction must be in (0, 1]")
-        if self.phi is not None and self.phi <= 0.0:
-            raise ValueError("phi must be > 0")
-        if self.time_limit < 0.0:
+        # Written so that NaN fails each check.
+        if self.phi is not None and not (0.0 < self.phi < math.inf):
+            raise ValueError("phi must be finite and > 0")
+        if not (self.time_limit >= 0.0):
             raise ValueError("time_limit must be >= 0")
         if self.descent_strategy not in DESCENT_STRATEGIES:
             raise ValueError(f"unknown descent strategy {self.descent_strategy!r}")

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from maxkcut.buckets import NIL, SearchState
+from maxkcut.buckets import SearchState
 from maxkcut.graph import Graph
 
 
@@ -50,20 +50,15 @@ def brute_gain_table(g: Graph, k: int, assign) -> dict[tuple[int, int], int]:
 
 
 def bucket_snapshot(s: SearchState) -> dict[tuple[int, int], int]:
-    """Map of (vertex, array) -> gain read off the linked lists, with
-    structural checks (back links, no duplicates)."""
+    """Map of (vertex, array) -> gain read off the bucket cells, with
+    structural checks (2W+1 cells per array, no vertex twice in one array)."""
     snapshot = {}
-    k = s.partition.k
-    for i in range(k):
-        for idx in range(len(s.heads[i])):
-            v = s.heads[i][idx]
-            prev = NIL
-            while v != NIL:
-                assert s.prv[i][v] == prev, f"broken back link at array {i} cell {idx}"
+    for i, cells in enumerate(s.cells):
+        assert len(cells) == 2 * s.offset + 1, f"array {i} has {len(cells)} cells"
+        for idx, cell in enumerate(cells):
+            for v in cell:
                 assert (v, i) not in snapshot, f"vertex {v} duplicated in array {i}"
                 snapshot[(v, i)] = idx - s.offset
-                prev = v
-                v = s.nxt[i][v]
     return snapshot
 
 
@@ -77,12 +72,8 @@ def assert_coherent(g: Graph, s: SearchState) -> None:
         assert s.delta[v][x] == gain, f"delta[{v}][{x}]"
     assert bucket_snapshot(s) == expected
     for i in range(k):
-        top = max((idx for idx, v in enumerate(s.heads[i]) if v != NIL), default=0)
+        top = max((idx for idx, cell in enumerate(s.cells[i]) if cell), default=0)
         assert s.gmax[i] >= top, f"gmax of array {i} below its top cell"
-    sizes = [0] * k
-    for a in assign:
-        sizes[a] += 1
-    assert list(s.partition.sizes) == sizes
 
 
 @pytest.fixture

@@ -90,6 +90,43 @@ def test_edgeless_moves_are_free():
     assert all(gain == 0 for row in s.delta for gain in row)
 
 
+def test_cell_members_newest_first():
+    # edgeless: every gain is 0, so array 1 has one non-empty cell; vertices
+    # enter it in index order, and a vertex that leaves and comes back is
+    # the newest member
+    g = Graph.from_edges(4, [])
+    s = init_state(g, Partition(k=2, assign=[0, 0, 0, 1]))
+    assert s.cell_members(1, s.offset) == [2, 1, 0]
+    apply_single_transfer(s, 0, 1)
+    assert s.cell_members(1, s.offset) == [2, 1]
+    apply_single_transfer(s, 0, 0)
+    assert s.cell_members(1, s.offset) == [0, 2, 1]
+    assert list(s.descending(1)) == [(0, 0), (2, 0), (1, 0)]
+
+
+def test_descending_lists_each_entry_once():
+    rng = random.Random(5)
+    g = random_graph(rng, 12, 0.5, -4, 4)
+    k = 3
+    s = init_state(g, Partition(k=k, assign=[rng.randrange(k) for _ in range(g.n)]))
+    for _ in range(60):
+        v = rng.randrange(g.n)
+        t = rng.choice([x for x in range(k) if x != s.partition.assign[v]])
+        apply_single_transfer(s, v, t)
+    table = brute_gain_table(g, k, s.partition.assign)
+    for i in range(k):
+        entries = list(s.descending(i))
+        assert sorted(entries) == sorted((v, gain) for (v, x), gain in table.items() if x == i)
+        gains = [gain for _, gain in entries]
+        assert gains == sorted(gains, reverse=True)
+        # within a cell, the same newest-first order as cell_members
+        assert entries == [
+            (v, gain)
+            for gain, _ in s.cells_descending(i)
+            for v in s.cell_members(i, gain + s.offset)
+        ]
+
+
 def test_best_single_transfer_triangle(triangle):
     s = init_state(triangle, Partition(k=2, assign=[0, 1, 0]))
     v, t, gain = best_single_transfer(s, random.Random(0))

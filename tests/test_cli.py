@@ -119,6 +119,28 @@ def test_oracle_guard_refusal(tmp_path, capsys):
     assert "--force" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name,payload,flags", [
+    ("trunc.json", '{"instance":"tri","k":2,', []),
+    ("noinst.json", '{"k":2,"objective":5,"assign":[0,0,1]}', []),
+    ("badassign.json", '{"instance":"tri","k":2,"objective":5,"assign":5}', []),
+    ("bad.txt", "0\nx\n1\n", ["--k", "2"]),
+], ids=["truncated-json", "json-without-instance", "json-assign-not-list",
+        "text-non-integer"])
+def test_check_malformed_solution_is_input_error(tri_path, tmp_path, capsys,
+                                                 name, payload, flags):
+    sol = tmp_path / name
+    sol.write_text(payload)
+    rc = main(["check", "--instance", str(tri_path), "--solution", str(sol), *flags])
+    assert rc == 1
+    assert f"error: invalid solution {sol}" in capsys.readouterr().err
+
+
+def test_oracle_k_below_two_is_input_error(tri_path, capsys):
+    rc = main(["oracle", "--instance", str(tri_path), "--k", "1"])
+    assert rc == 1
+    assert "error: k must be >= 2" in capsys.readouterr().err
+
+
 def test_bench_csv_shape(tri_path, tmp_path):
     out = tmp_path / "report.csv"
     rc = main(["bench", "--instances", "tri.txt", "--dir", str(tri_path.parent),
@@ -212,6 +234,10 @@ def test_bench_count_below_one_is_input_error(tri_path, tmp_path, capsys, flag):
     ["--phi", "-3"],
     ["--phi", "0"],
     ["--omega", "0"],
+    ["--phi", "nan"],
+    ["--phi", "inf"],
+    # the target ends the run at once should a NaN budget ever pass the check
+    ["--time-limit", "nan", "--target", "5"],
 ])
 def test_solve_out_of_range_param_is_input_error(tri_path, capsys, flags):
     rc = main(["solve", "--instance", str(tri_path), "--k", "2",

@@ -23,14 +23,14 @@ def test_random_initial_no_empty_subset():
     g = Graph.from_edges(5, [])
     for seed in range(20):
         p = random_initial(g, 3, random.Random(seed))
-        assert all(size >= 1 for size in p.sizes)
-        assert sum(p.sizes) == 5
+        assert len(p.assign) == 5
+        assert sorted(set(p.assign)) == [0, 1, 2]
 
 
 def test_random_initial_pigeonhole():
     g = Graph.from_edges(3, [])
     p = random_initial(g, 3, random.Random(7))
-    assert sorted(p.sizes) == [1, 1, 1]
+    assert sorted(p.assign) == [0, 1, 2]
 
 
 def test_random_initial_k_out_of_range():
@@ -54,13 +54,6 @@ def test_evaluate_edgeless():
 def test_validate_ok(triangle):
     report = validate(triangle, Partition(k=2, assign=[0, 0, 1]))
     assert report.ok and not report.warnings
-
-
-def test_validate_sizes_mismatch(triangle):
-    p = Partition(k=2, assign=[0, 0, 1])
-    p.sizes = [1, 2]
-    report = validate(triangle, p)
-    assert "sizes mismatch" in report.errors
 
 
 def test_validate_empty_subset_is_warning(triangle):

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 
 import pytest
@@ -188,8 +189,15 @@ def test_run_invalid_params(triangle):
         run_moh(triangle, make_params(omega=0))
     with pytest.raises(ValueError, match="phi"):
         run_moh(triangle, make_params(phi=0.0))
+    with pytest.raises(ValueError, match="phi"):
+        run_moh(triangle, make_params(phi=math.nan))
+    with pytest.raises(ValueError, match="phi"):
+        run_moh(triangle, make_params(phi=math.inf))
     with pytest.raises(ValueError, match="time_limit"):
         run_moh(triangle, make_params(time_limit=-1.0))
+    with pytest.raises(ValueError, match="time_limit"):
+        run_moh(triangle, make_params(time_limit=math.nan, max_rounds=1))
+    make_params(time_limit=math.inf).check()
     with pytest.raises(ValueError, match="k must"):
         run_moh(triangle, make_params(k=1))
 
