@@ -223,6 +223,10 @@ def cmd_check(args) -> int:
             assign = solution_from_text(text)
     except ValueError as e:
         raise InputError(f"invalid solution {args.solution}: {e}") from e
+    flags = (("--k", args.k, k), ("--objective", args.objective, claimed))
+    for flag, given, found in flags:
+        if given is not None and given != found:
+            raise InputError(f"{flag} {given} disagrees with {found} in {args.solution}")
     if k is None:
         raise InputError("plain-text solutions need --k")
     if len(assign) != g.n:

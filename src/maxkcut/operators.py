@@ -203,9 +203,11 @@ def op4_select(s: SearchState, rng: random.Random) -> Move | None:
     """Best double transfer (u -> S_p, v -> S_q) for a randomly drawn ordered
     pair of distinct subsets; gain may be <= 0.
 
-    Bucket-ordered scans of arrays p and q, pruned by the bound
-    gain(u) + gain(v) + 2*max|w| on any pair's combined gain; ties are
-    resolved by reservoir sampling over the scanned candidates.
+    Bucket-ordered scans of arrays p and q.  An adjacent pair's combined
+    gain is at most gain(u) + gain(v) + 2*max|w| when u is in S_q (the swap
+    case, psi = 2) and gain(u) + gain(v) + max|w| for every other u; pairs
+    whose bound is below the incumbent are skipped.  Ties are resolved by
+    reservoir sampling over the scanned candidates.
     """
     assign = s.partition.assign
     delta = s.delta
@@ -218,7 +220,6 @@ def op4_select(s: SearchState, rng: random.Random) -> Move | None:
     tie_budget = _O4_TIE_BUDGET
     adjacency = s.graph.adjacency
 
-    scan_p = _DescendingScan(s, p)
     scan_q = _DescendingScan(s, q)
     top_q = scan_q.get(0)
     if top_q is None:  # every vertex is in S_q
@@ -227,10 +228,7 @@ def op4_select(s: SearchState, rng: random.Random) -> Move | None:
 
     # Non-adjacent pairs: for each u from the top of p, partners from the top
     # of q; sums only decrease, so each inner scan stops at the incumbent.
-    pos_u = 0
-    while (entry := scan_p.get(pos_u)) is not None:
-        pos_u += 1
-        u, gu = entry
+    for u, gu in s.descending(p):
         if best is not None:
             if gu + gq_top < best:
                 break
@@ -262,21 +260,31 @@ def op4_select(s: SearchState, rng: random.Random) -> Move | None:
                 if rng.random() * tie_count < 1.0:
                     choice = (u, v)
 
-    # Adjacent pairs: a pair (u, v) has gain at most
-    # delta[u][p] + delta[v][q] + 2*max|w|, which bounds both the u-side
-    # depth and, per u, the admissible delta[v][q].
-    two_w = 2 * s.graph.max_abs_weight
+    # Adjacent pairs: psi(c_u, c_v, p, q) = -[c_u=c_v] + [c_v=p] + [c_u=q]
+    # with c_u != p, so psi*w can exceed max|w| only in the swap case
+    # c_u = q, c_v = p, where it is at most 2*max|w|.  That per-u bound
+    # floors the admissible delta[v][q]; a u whose floor is above the top of
+    # B_q is skipped, and the scan ends once even 2*max|w| cannot reach the
+    # incumbent.  Skipped pairs are strictly below it, so they would have
+    # drawn no random number.
+    max_w = s.graph.max_abs_weight
+    two_w = 2 * max_w
     # psi(c_u, c_v, p, q) per origin pair, filled as pairs are met.
     coefs: dict[tuple[int, int], int] = {}
-    pos_u = 0
-    while (entry := scan_p.get(pos_u)) is not None:
-        pos_u += 1
-        u, gu = entry
-        if best is not None and gu + gq_top + two_w < best:
-            break
+    for u, gu in s.descending(p):
+        neighbours = adjacency[u]
+        if not neighbours:
+            continue
         cu = assign[u]
-        v_floor = None if best is None else best - gu - two_w
-        for v, w in adjacency[u]:
+        bound = two_w if cu == q else max_w
+        v_floor = None
+        if best is not None:
+            if gu + gq_top + two_w < best:
+                break
+            v_floor = best - gu - bound
+            if v_floor > gq_top:
+                continue
+        for v, w in neighbours:
             cv = assign[v]
             if cv == q:
                 continue
@@ -291,7 +299,7 @@ def op4_select(s: SearchState, rng: random.Random) -> Move | None:
                 best = gain
                 choice = (u, v)
                 tie_count = 1
-                v_floor = best - gu - two_w
+                v_floor = best - gu - bound
             elif gain == best:
                 tie_count += 1
                 if rng.random() * tie_count < 1.0:

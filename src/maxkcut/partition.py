@@ -57,12 +57,15 @@ class ValidationReport:
 
 
 def validate(g: Graph, p: Partition) -> ValidationReport:
-    """Check assignment length and subset range.
+    """Check k >= 2, assignment length and subset range.
 
     Empty subsets are reported as warnings, not errors: single-transfer moves
     may legitimately empty a subset during search.
     """
     report = ValidationReport()
+    if p.k < 2:
+        report.errors.append(f"k must be >= 2, got k={p.k}")
+        return report
     if len(p.assign) != g.n:
         report.errors.append(f"assignment length {len(p.assign)} != n={g.n}")
         return report
@@ -94,16 +97,24 @@ def solution_to_text(p: Partition) -> str:
     return "\n".join(str(s) for s in p.assign) + "\n"
 
 
+def _json_int(value, field: str) -> int:
+    # bool is an int subclass, but true/false is no subset id or count.
+    if type(value) is not int:
+        raise ValueError(f"field {field} must be an integer, got {value!r}")
+    return value
+
+
 def solution_from_json(text: str) -> tuple[str, int, int, list[int]]:
     """Returns (instance, k, claimed objective, assignment).  A malformed
-    document raises ValueError."""
+    document, or a k, objective or subset id that is not a JSON integer,
+    raises ValueError."""
     doc = json.loads(text)
     try:
         return (
             str(doc["instance"]),
-            int(doc["k"]),
-            int(doc["objective"]),
-            [int(s) for s in doc["assign"]],
+            _json_int(doc["k"], "k"),
+            _json_int(doc["objective"], "objective"),
+            [_json_int(s, "assign") for s in doc["assign"]],
         )
     except KeyError as e:
         raise ValueError(f"missing field {e}") from None

@@ -135,6 +135,64 @@ def test_check_malformed_solution_is_input_error(tri_path, tmp_path, capsys,
     assert f"error: invalid solution {sol}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name,payload,flags", [
+    ("k1.json", '{"instance":"tri","k":1,"objective":0,"assign":[0,0,0]}', []),
+    ("k0.json", '{"instance":"tri","k":0,"objective":0,"assign":[0,0,0]}', []),
+    ("k1.txt", "0\n0\n0\n", ["--k", "1"]),
+], ids=["json-k1", "json-k0", "text-k1"])
+def test_check_k_below_two_is_input_error(tri_path, tmp_path, capsys,
+                                          name, payload, flags):
+    sol = tmp_path / name
+    sol.write_text(payload)
+    rc = main(["check", "--instance", str(tri_path), "--solution", str(sol), *flags])
+    assert rc == 1
+    assert "k must be >= 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("payload", [
+    '{"instance":"tri","k":2.9,"objective":5,"assign":[0,0,1]}',
+    '{"instance":"tri","k":true,"objective":5,"assign":[0,0,1]}',
+    '{"instance":"tri","k":"2","objective":5,"assign":[0,0,1]}',
+    '{"instance":"tri","k":2,"objective":"5","assign":[0,0,1]}',
+    '{"instance":"tri","k":2,"objective":5.0,"assign":[0,0,1]}',
+    '{"instance":"tri","k":2,"objective":null,"assign":[0,0,1]}',
+    '{"instance":"tri","k":2,"objective":5,"assign":[0.7,0,1]}',
+    '{"instance":"tri","k":2,"objective":5,"assign":[false,false,true]}',
+    '{"instance":"tri","k":2,"objective":5,"assign":["0",0,1]}',
+], ids=["k-float", "k-bool", "k-string", "objective-string", "objective-float",
+        "objective-null", "assign-float", "assign-bool", "assign-string"])
+def test_check_non_integer_json_field_is_input_error(tri_path, tmp_path, capsys,
+                                                     payload):
+    sol = tmp_path / "sol.json"
+    sol.write_text(payload)
+    rc = main(["check", "--instance", str(tri_path), "--solution", str(sol)])
+    assert rc == 1
+    assert "must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--k", "3"], "--k 3 disagrees with 2"),
+    (["--objective", "999"], "--objective 999 disagrees with 5"),
+    (["--k", "3", "--objective", "999"], "--k 3 disagrees with 2"),
+], ids=["k", "objective", "both"])
+def test_check_flag_disagreeing_with_json_is_input_error(tri_path, tmp_path,
+                                                         capsys, flags, message):
+    sol = tmp_path / "sol.json"
+    sol.write_text('{"instance":"tri","k":2,"objective":5,"assign":[0,0,1]}\n')
+    rc = main(["check", "--instance", str(tri_path), "--solution", str(sol), *flags])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+
+
+def test_check_flags_agreeing_with_json_pass(tri_path, tmp_path, capsys):
+    sol = tmp_path / "sol.json"
+    sol.write_text('{"instance":"tri","k":2,"objective":5,"assign":[0,0,1]}\n')
+    rc = main(["check", "--instance", str(tri_path), "--solution", str(sol),
+               "--k", "2", "--objective", "5"])
+    assert rc == 0
+    assert "PASS" in capsys.readouterr().out
+
+
 def test_oracle_k_below_two_is_input_error(tri_path, capsys):
     rc = main(["oracle", "--instance", str(tri_path), "--k", "1"])
     assert rc == 1

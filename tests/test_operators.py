@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -6,6 +7,8 @@ import pytest
 from maxkcut.buckets import init_state
 from maxkcut.graph import Graph
 from maxkcut.operators import (
+    Move,
+    Transfer,
     apply_move,
     combined_gain,
     op1_select,
@@ -300,6 +303,74 @@ def test_op4_exact_against_brute_force():
         assert m.gain == brute_best_o4(s, p, q)
         assert m.first.vertex != m.second.vertex
         assert assign[m.first.vertex] != p and assign[m.second.vertex] != q
+
+
+def test_op4_trajectory_digest():
+    """Pins O4's exact moves and RNG use, ties included, so a pruning change
+    that drops a pair able to reach the incumbent fails here.
+
+    Each of 300 seeded random states (n 2-30, k 2-5, weights in [-W, W]
+    with W <= 10, so zero weights occur, and up to n/4 isolated vertices)
+    runs up to eight op4_select calls, applying each move.  Every returned
+    move is hashed with the RNG state after the call, so a change in the
+    move, the tie-break or the number of random draws changes the digest.
+    """
+    rng = random.Random(2718)
+    h = hashlib.sha256()
+    for _ in range(300):
+        n = rng.randint(2, 30)
+        k = rng.randint(2, min(5, n))
+        wmax = rng.randint(1, 10)
+        density = rng.choice([0.2, 0.5, 0.9])
+        isolated = set(rng.sample(range(n), rng.randint(0, n // 4)))
+        edges = [
+            (u, v, rng.randint(-wmax, wmax))
+            for u in range(n)
+            for v in range(u + 1, n)
+            if u not in isolated and v not in isolated and rng.random() < density
+        ]
+        g = Graph.from_edges(n, edges)
+        assign = [rng.randrange(k) for _ in range(n)]
+        s = init_state(g, Partition(k=k, assign=assign))
+        op_rng = random.Random(rng.randrange(2**32))
+        for _ in range(8):
+            m = op4_select(s, op_rng)
+            h.update(repr((m, op_rng.getstate())).encode())
+            if m is None:
+                break
+            apply_move(s, m)
+    assert h.hexdigest() == (
+        "e9778c655676e8f6c2986cb5876c4289821c5939d43e5bde5e0d1ab58f8946d0"
+    )
+
+
+def test_op4_finds_the_heavy_swap():
+    """k=3, (p, q) = (1, 2): the unique best O4 move swaps the endpoints of
+    the weight-10 edge (2 in S_q -> S_p, 3 in S_p -> S_q), psi = 2.
+
+    B_1 lists 0 (S_2), 4 (S_0), 1 (S_0), 2 (S_2).  Vertex 1 is not in S_q,
+    so its pairs are bounded by max|w| and cannot reach the incumbent; the
+    later vertex 2 is in S_q and reaches it only through the 2*max|w| bound.
+    """
+    g = Graph.from_edges(
+        5, [(0, 3, -3), (0, 1, 2), (2, 4, 3), (1, 4, -3), (2, 3, 10), (1, 3, 3)]
+    )
+    assign = [2, 0, 2, 1, 0]
+    s = init_state(g, Partition(k=3, assign=assign))
+    assert brute_best_o4(s, 1, 2) == 3
+    winners = [
+        (u, v)
+        for u in range(5)
+        for v in range(5)
+        if u != v and assign[u] != 1 and assign[v] != 2
+        and combined_gain(s, u, 1, v, 2) == 3
+    ]
+    assert winners == [(2, 3)]
+    for seed in itertools.count():
+        m = op4_select(s, random.Random(seed))
+        if (m.first.target, m.second.target) == (1, 2):
+            break
+    assert m == Move(gain=3, first=Transfer(2, 2, 1), second=Transfer(3, 1, 2))
 
 
 def test_op4_k2_pair_is_both_subsets(square4):

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -65,6 +66,24 @@ def test_validate_empty_subset_is_warning(triangle):
 def test_validate_out_of_range(triangle):
     report = validate(triangle, Partition(k=2, assign=[0, 0, 5]))
     assert not report.ok
+
+
+@pytest.mark.parametrize("k", [1, 0, -1])
+def test_validate_k_below_two(triangle, k):
+    report = validate(triangle, Partition(k=k, assign=[0, 0, 0]))
+    assert not report.ok
+    assert report.errors == [f"k must be >= 2, got k={k}"]
+
+
+@pytest.mark.parametrize("field,value", [
+    ("k", 2.0), ("k", True), ("objective", "5"), ("assign", [0, 0, 1.0]),
+    ("assign", [0, 0, True]),
+], ids=["k-float", "k-bool", "objective-string", "assign-float", "assign-bool"])
+def test_solution_from_json_rejects_non_integers(field, value):
+    doc = {"instance": "tri", "k": 2, "objective": 5, "assign": [0, 0, 1]}
+    doc[field] = value
+    with pytest.raises(ValueError, match=f"field {field} must be an integer"):
+        solution_from_json(json.dumps(doc))
 
 
 @given(st.integers(min_value=0, max_value=2**31))
