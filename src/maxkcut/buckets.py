@@ -20,6 +20,23 @@ from .graph import Graph
 from .partition import Partition, evaluate
 
 
+# Largest bucket table (k arrays of 2W+1 cells) a state may allocate.  Each
+# cell is an empty dict of ~72 bytes, so this is ~0.6 GB.
+MAX_BUCKET_CELLS = 2**23
+
+
+def check_bucket_cells(g: Graph, k: int) -> None:
+    """Raise ValueError when the bucket table of g with k subsets would
+    exceed MAX_BUCKET_CELLS."""
+    w = g.max_abs_incident_weight
+    cells = k * (2 * w + 1)
+    if cells > MAX_BUCKET_CELLS:
+        raise ValueError(
+            f"bucket table needs k*(2W+1) = {cells} cells (k={k}, W={w}, the largest"
+            f" absolute incident weight sum), above the limit of {MAX_BUCKET_CELLS}"
+        )
+
+
 class SearchState:
     """Partition plus objective, gain table, and bucket structure, kept
     mutually coherent under apply_single_transfer."""
@@ -27,6 +44,7 @@ class SearchState:
     __slots__ = ("graph", "partition", "f", "delta", "cells", "gmax", "offset", "iter")
 
     def __init__(self, graph: Graph, partition: Partition):
+        check_bucket_cells(graph, partition.k)
         self.graph = graph
         self.partition = partition
         self.iter = 0
@@ -79,10 +97,6 @@ class SearchState:
             idx -= 1
         self.gmax[i] = idx if idx >= 0 else 0
         return idx
-
-    def cell_members(self, i: int, idx: int) -> list[int]:
-        """Members of cell idx of B_i, newest first."""
-        return list(reversed(self.cells[i][idx]))
 
     def cells_descending(self, i: int) -> Iterator[tuple[int, Iterator[int]]]:
         """(gain, members newest first) for each non-empty cell of B_i, top
@@ -191,5 +205,5 @@ def best_single_transfer(s: SearchState, rng: random.Random) -> tuple[int, int, 
     if best is None:
         raise ValueError("no single-transfer move exists (k subsets cover nothing)")
     i = rng.choice(tied)
-    v = rng.choice(s.cell_members(i, best))
+    v = rng.choice(list(reversed(s.cells[i][best])))
     return v, i, best - s.offset

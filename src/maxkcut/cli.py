@@ -14,6 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
+from .buckets import check_bucket_cells
 from .graph import Graph, GraphFormatError, parse_instance
 from .oracle import OracleGuardError, exact_max_kcut
 from .partition import (
@@ -72,6 +73,10 @@ def _params_from_args(g: Graph, args, seed: int, **overrides) -> SearchParams:
     errors."""
     if not (2 <= args.k <= g.n):
         raise InputError(f"k must satisfy 2 <= k <= n={g.n}")
+    try:
+        check_bucket_cells(g, args.k)
+    except ValueError as e:
+        raise InputError(str(e)) from e
     time_limit = args.time_limit
     if time_limit is None:
         time_limit = 60.0 if args.quick else default_time_limit(g.n)
@@ -229,8 +234,6 @@ def cmd_check(args) -> int:
             raise InputError(f"{flag} {given} disagrees with {found} in {args.solution}")
     if k is None:
         raise InputError("plain-text solutions need --k")
-    if len(assign) != g.n:
-        raise InputError(f"assignment length {len(assign)} != n={g.n}")
     p = Partition(k=k, assign=assign)
     report = validate(g, p)
     if not report.ok:

@@ -10,7 +10,9 @@ O5: one uniformly random single transfer.
 from __future__ import annotations
 
 import random
+from copy import copy
 from dataclasses import dataclass
+from itertools import tee
 
 from .buckets import SearchState, apply_single_transfer, best_single_transfer
 from .tabu import TabuList
@@ -58,24 +60,6 @@ def _psi_block(k: int, c_u: int, c_v: int) -> list[list[int]]:
         [psi(c_u, c_v, tu, tv) if tu != c_u and tv != c_v else 0 for tv in r]
         for tu in r
     ]
-
-
-def combined_gain(s: SearchState, u: int, t_u: int, v: int, t_v: int) -> int:
-    """Gain of jointly moving u -> t_u and v -> t_v (u != v).
-
-    Sum of the two single gains plus psi * w_uv; the correction vanishes for
-    non-adjacent pairs.
-    """
-    if u == v:
-        raise ValueError("double transfer needs two distinct vertices")
-    c_u = s.partition.assign[u]
-    c_v = s.partition.assign[v]
-    w_uv = 0
-    for nb, w in s.graph.adjacency[u]:
-        if nb == v:
-            w_uv = w
-            break
-    return s.delta[u][t_u] + s.delta[v][t_v] + psi(c_u, c_v, t_u, t_v) * w_uv
 
 
 def apply_move(s: SearchState, move: Move) -> None:
@@ -174,26 +158,6 @@ def op3_select(
     return Move(gain=best, first=Transfer(v, s.partition.assign[v], i))
 
 
-class _DescendingScan:
-    """Cached prefix of s.descending(i), for repeated partial scans of one
-    bucket array in non-increasing gain order."""
-
-    __slots__ = ("items", "_rest")
-
-    def __init__(self, s: SearchState, i: int):
-        self.items: list[tuple[int, int]] = []
-        self._rest = s.descending(i)
-
-    def get(self, pos: int) -> tuple[int, int] | None:
-        items = self.items
-        while len(items) <= pos:
-            entry = next(self._rest, None)
-            if entry is None:
-                return None
-            items.append(entry)
-        return items[pos]
-
-
 # After this many tied-gain candidate pairs, O4 stops widening the tie pool
 # (the maximum is already exact; only the tie-break distribution narrows).
 _O4_TIE_BUDGET = 256
@@ -220,8 +184,10 @@ def op4_select(s: SearchState, rng: random.Random) -> Move | None:
     tie_budget = _O4_TIE_BUDGET
     adjacency = s.graph.adjacency
 
-    scan_q = _DescendingScan(s, q)
-    top_q = scan_q.get(0)
+    # Each copy of scan_q rescans B_q from the top; tee caches the entries
+    # read so far and reads further ones from the cells lazily.
+    (scan_q,) = tee(s.descending(q), 1)
+    top_q = next(copy(scan_q), None)
     if top_q is None:  # every vertex is in S_q
         return None
     gq_top = top_q[1]
@@ -235,10 +201,7 @@ def op4_select(s: SearchState, rng: random.Random) -> Move | None:
             if gu + gq_top == best and tie_budget <= 0:
                 break
         nu = None
-        pos_v = 0
-        while (ev := scan_q.get(pos_v)) is not None:
-            pos_v += 1
-            v, gv = ev
+        for v, gv in copy(scan_q):
             gain = gu + gv
             if best is not None and gain < best:
                 break

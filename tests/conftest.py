@@ -15,6 +15,7 @@ import pytest
 
 from maxkcut.buckets import SearchState
 from maxkcut.graph import Graph
+from maxkcut.operators import psi
 
 
 def random_graph(
@@ -47,6 +48,17 @@ def brute_gain_table(g: Graph, k: int, assign) -> dict[tuple[int, int], int]:
             external = sum(w for nb, w in g.adjacency[v] if assign[nb] == x)
             table[(v, x)] = internal - external
     return table
+
+
+def combined_gain(s: SearchState, u: int, t_u: int, v: int, t_v: int) -> int:
+    """Gain of jointly moving u -> t_u and v -> t_v (u != v): the two single
+    gains plus psi * w_uv, where w_uv is 0 for a non-adjacent pair."""
+    if u == v:
+        raise ValueError("double transfer needs two distinct vertices")
+    w_uv = next((w for nb, w in s.graph.adjacency[u] if nb == v), 0)
+    c_u = s.partition.assign[u]
+    c_v = s.partition.assign[v]
+    return s.delta[u][t_u] + s.delta[v][t_v] + psi(c_u, c_v, t_u, t_v) * w_uv
 
 
 def bucket_snapshot(s: SearchState) -> dict[tuple[int, int], int]:

@@ -19,7 +19,7 @@ import pytest
 from maxkcut.buckets import apply_single_transfer, init_state
 from maxkcut.cli import main
 from maxkcut.graph import Graph, parse_instance
-from maxkcut.operators import combined_gain, psi
+from maxkcut.operators import psi
 from maxkcut.oracle import exact_max_kcut
 from maxkcut.partition import Partition, evaluate
 from maxkcut.search import SearchParams, run_moh
@@ -28,6 +28,7 @@ from conftest import (
     brute_gain_table,
     brute_objective,
     bucket_snapshot,
+    combined_gain,
     random_graph,
     require_gset,
 )

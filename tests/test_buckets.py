@@ -1,12 +1,17 @@
 import random
+import time
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from maxkcut.buckets import (
+    MAX_BUCKET_CELLS,
+    SearchState,
     apply_single_transfer,
     best_single_transfer,
+    check_bucket_cells,
     init_state,
 )
 from maxkcut.graph import Graph
@@ -19,6 +24,7 @@ from maxkcut.operators import (
     op5_apply,
 )
 from maxkcut.partition import Partition
+from maxkcut.search import SearchParams, run_moh
 from maxkcut.tabu import TabuList
 
 from conftest import (
@@ -96,11 +102,12 @@ def test_cell_members_newest_first():
     # the newest member
     g = Graph.from_edges(4, [])
     s = init_state(g, Partition(k=2, assign=[0, 0, 0, 1]))
-    assert s.cell_members(1, s.offset) == [2, 1, 0]
+    assert list(reversed(s.cells[1][s.offset])) == [2, 1, 0]
     apply_single_transfer(s, 0, 1)
-    assert s.cell_members(1, s.offset) == [2, 1]
+    assert list(reversed(s.cells[1][s.offset])) == [2, 1]
     apply_single_transfer(s, 0, 0)
-    assert s.cell_members(1, s.offset) == [0, 2, 1]
+    assert list(reversed(s.cells[1][s.offset])) == [0, 2, 1]
+    assert [(gain, list(vs)) for gain, vs in s.cells_descending(1)] == [(0, [0, 2, 1])]
     assert list(s.descending(1)) == [(0, 0), (2, 0), (1, 0)]
 
 
@@ -119,12 +126,46 @@ def test_descending_lists_each_entry_once():
         assert sorted(entries) == sorted((v, gain) for (v, x), gain in table.items() if x == i)
         gains = [gain for _, gain in entries]
         assert gains == sorted(gains, reverse=True)
-        # within a cell, the same newest-first order as cell_members
+        # within a cell, the cell's members newest first
         assert entries == [
             (v, gain)
             for gain, _ in s.cells_descending(i)
-            for v in s.cell_members(i, gain + s.offset)
+            for v in reversed(s.cells[i][gain + s.offset])
         ]
+
+
+def _weighted_triangle(w):
+    return Graph.from_edges(3, [(0, 1, w), (0, 2, w), (1, 2, w)])
+
+
+def test_bucket_table_limit_boundary():
+    # W = 2w on a triangle, so k=2 needs 2 * (4w + 1) cells
+    check_bucket_cells(_weighted_triangle(1048575), 2)  # 8388602 cells
+    with pytest.raises(ValueError, match=f"limit of {MAX_BUCKET_CELLS}"):
+        check_bucket_cells(_weighted_triangle(1048576), 2)  # 8388610 cells
+
+
+def test_huge_weights_rejected_before_allocation():
+    g = _weighted_triangle(10**9)
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="bucket table needs"):
+        SearchState(g, Partition(k=2, assign=[0, 0, 1]))
+    with pytest.raises(ValueError, match="bucket table needs"):
+        run_moh(g, SearchParams(k=2, max_rounds=1))
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_wide_weight_range_builds():
+    # n=200, 30 % density, weights in [-1000, 1000], k=4: W = 39787, so the
+    # table has 318300 cells, well under the limit
+    rng = random.Random(11)
+    g = random_graph(rng, 200, 0.3, -1000, 1000)
+    k = 4
+    s = init_state(g, Partition(k=k, assign=[rng.randrange(k) for _ in range(g.n)]))
+    assert len(s.cells) * len(s.cells[0]) <= MAX_BUCKET_CELLS
+    assert s.f == brute_objective(g, s.partition.assign)
+    v, t, gain = best_single_transfer(s, rng)
+    assert gain == brute_gain_table(g, k, s.partition.assign)[(v, t)]
 
 
 def test_best_single_transfer_triangle(triangle):

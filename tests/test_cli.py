@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import pytest
 
@@ -83,6 +84,7 @@ def test_check_wrong_length(tri_path, tmp_path, capsys):
     sol.write_text('{"instance":"tri","k":2,"objective":5,"assign":[0,1]}\n')
     rc = main(["check", "--instance", str(tri_path), "--solution", str(sol)])
     assert rc == 1
+    assert "assignment length 2 != n=3" in capsys.readouterr().err
 
 
 def test_check_text_solution(tri_path, tmp_path, capsys):
@@ -317,6 +319,21 @@ def test_bench_k_above_n_is_input_error(tri_path, tmp_path, capsys):
     assert rc == 1
     assert "k must satisfy" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "bench"])
+def test_huge_weights_are_input_error(tmp_path, capsys, command):
+    inst = tmp_path / "huge.txt"
+    inst.write_text("3 3\n1 2 1000000000\n1 3 1000000000\n2 3 1000000000\n")
+    if command == "solve":
+        argv = ["solve", "--instance", str(inst)]
+    else:
+        argv = ["bench", "--instances", "huge.txt", "--dir", str(tmp_path), "--runs", "1"]
+    t0 = time.perf_counter()
+    rc = main(argv + ["--k", "2", "--time-limit", "1"])
+    assert time.perf_counter() - t0 < 1.0
+    assert rc == 1
+    assert "above the limit of 8388608" in capsys.readouterr().err
 
 
 def test_bench_forwards_search_flags(tri_path, tmp_path, monkeypatch):

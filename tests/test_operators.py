@@ -10,7 +10,6 @@ from maxkcut.operators import (
     Move,
     Transfer,
     apply_move,
-    combined_gain,
     op1_select,
     op2_select,
     op3_select,
@@ -21,7 +20,7 @@ from maxkcut.operators import (
 from maxkcut.partition import Partition, evaluate
 from maxkcut.tabu import TabuList
 
-from conftest import brute_objective, random_graph
+from conftest import brute_objective, combined_gain, random_graph
 
 
 def psi_case_table(c_u, c_v, t_u, t_v):

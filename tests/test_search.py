@@ -4,10 +4,11 @@ import random
 
 import pytest
 
+from maxkcut import search
 from maxkcut.buckets import init_state
 from maxkcut.graph import Graph
 from maxkcut.oracle import exact_max_kcut
-from maxkcut.partition import Partition, evaluate
+from maxkcut.partition import Partition, evaluate, validate
 from maxkcut.search import (
     SearchParams,
     _BestTracker,
@@ -141,6 +142,11 @@ def test_perturb_keeps_f_coherent():
     assert s.f == brute_objective(g, s.partition.assign)
 
 
+def _assert_best_consistent(g, result):
+    assert evaluate(g, result.best_partition) == result.f_best == result.trace[-1][1]
+    assert validate(g, result.best_partition).ok
+
+
 def test_run_triangle_reaches_optimum(triangle):
     result = run_moh(triangle, make_params(time_limit=1.0, target_objective=5))
     assert result.f_best == 5
@@ -155,11 +161,10 @@ def test_run_square4_reaches_optimum(square4):
 def test_run_best_is_consistent_and_trace_monotone():
     rng = random.Random(6)
     g = random_graph(rng, 15, 0.4)
-    result = run_moh(g, make_params(k=3, time_limit=0.3, seed=5))
-    assert result.f_best == evaluate(g, result.best_partition)
+    result = run_moh(g, make_params(k=3, time_limit=0.3, seed=5))  # stops on budget
+    _assert_best_consistent(g, result)
     values = [f for _, f in result.trace]
     assert values == sorted(values)
-    assert values[-1] == result.f_best
 
 
 def test_run_determinism():
@@ -180,6 +185,7 @@ def test_run_max_rounds_stop():
     g = random_graph(rng, 10, 0.5)
     result = run_moh(g, make_params(time_limit=100.0, max_rounds=3, seed=1))
     assert result.rounds == 3
+    _assert_best_consistent(g, result)
 
 
 def test_run_invalid_params(triangle):
@@ -210,6 +216,47 @@ def test_time_budget_is_respected():
     t0 = time.perf_counter()
     run_moh(g, make_params(k=3, time_limit=0.3, seed=2))
     assert time.perf_counter() - t0 < 2.0
+
+
+# A run on which the descent, the diversified phase and a perturbation each
+# raise f_best at least once within its first 30 rounds.
+def _phase_graph():
+    return random_graph(random.Random(3), 24, 0.3, -5, 5)
+
+
+_PHASE_PARAMS = dict(k=3, seed=0, xi=1, omega=3, gamma_fraction=0.5, time_limit=60.0)
+
+
+def _record_phases(monkeypatch):
+    """Wrap the three phases of run_moh; each call appends (phase, f_best
+    on entry, f_best on exit), also when the run stops inside it."""
+    events = []
+    for name in ("descent_phase", "diversified_phase", "perturb"):
+        def wrapper(*args, _orig=getattr(search, name), _name=name):
+            tr = args[-1]
+            before = tr.f_best
+            try:
+                _orig(*args)
+            finally:
+                events.append((_name, before, tr.f_best))
+        monkeypatch.setattr(search, name, wrapper)
+    return events
+
+
+@pytest.mark.parametrize("phase", ["descent_phase", "diversified_phase", "perturb"])
+def test_run_stopped_at_target_keeps_best_consistent(monkeypatch, phase):
+    g = _phase_graph()
+    events = _record_phases(monkeypatch)
+    run_moh(g, make_params(max_rounds=30, **_PHASE_PARAMS))
+    # the first call of this phase that raised f_best: its exit value is a
+    # target no earlier phase call reached
+    target = next(after for name, before, after in events
+                  if name == phase and after > before)
+    events.clear()
+    result = run_moh(g, make_params(target_objective=target, **_PHASE_PARAMS))
+    assert events[-1][0] == phase  # the stop was raised inside this phase
+    assert result.f_best == target
+    _assert_best_consistent(g, result)
 
 
 def test_large_k_stays_small():
