@@ -11,7 +11,6 @@ import io
 import statistics
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
 from pathlib import Path
 
 from .buckets import check_bucket_cells
@@ -67,32 +66,28 @@ def _load_instance(path: str) -> Graph:
         raise InputError(f"invalid instance {path}: {e}") from e
 
 
-def _params_from_args(g: Graph, args, seed: int, **overrides) -> SearchParams:
-    """SearchParams of one run on g from the search flags, with overrides
-    for the fields a bench ablation varies.  Out-of-range values are input
-    errors."""
+def _params_from_args(g: Graph, args, seed: int, rho: float, strategy: str) -> SearchParams:
+    """SearchParams of one run on g from the search flags.  Out-of-range
+    values are input errors."""
     if not (2 <= args.k <= g.n):
         raise InputError(f"k must satisfy 2 <= k <= n={g.n}")
     try:
         check_bucket_cells(g, args.k)
     except ValueError as e:
         raise InputError(str(e)) from e
-    time_limit = args.time_limit
-    if time_limit is None:
-        time_limit = 60.0 if args.quick else default_time_limit(g.n)
+    time_limit = default_time_limit(g.n) if args.time_limit is None else args.time_limit
     params = SearchParams(
         k=args.k,
         omega=args.omega,
         xi=args.xi,
-        rho=args.rho,
+        rho=rho,
         gamma_fraction=args.gamma_fraction,
         phi=args.phi,
         time_limit=time_limit,
         target_objective=getattr(args, "target", None),
         seed=seed,
-        descent_strategy=args.strategy,
+        descent_strategy=strategy,
     )
-    params = replace(params, **overrides)
     try:
         params.check()
     except ValueError as e:
@@ -100,9 +95,22 @@ def _params_from_args(g: Graph, args, seed: int, **overrides) -> SearchParams:
     return params
 
 
+def _check_writable(*paths: str | None) -> None:
+    """Open each given output path before the search, so that one that
+    cannot be written fails at once rather than after the time budget.
+    Append mode leaves an existing file as it is until the results come."""
+    for path in filter(None, paths):
+        try:
+            with open(path, "a"):
+                pass
+        except OSError as e:
+            raise InputError(f"cannot write {path}: {e}") from e
+
+
 def cmd_solve(args) -> int:
     g = _load_instance(args.instance)
-    params = _params_from_args(g, args, args.seed)
+    params = _params_from_args(g, args, args.seed, args.rho, args.strategy)
+    _check_writable(args.solution_out, args.trace_out)
     result = run_moh(g, params)
     print(f"instance: {args.instance}")
     print(f"n: {g.n}  m: {g.m}  k: {args.k}")
@@ -134,50 +142,22 @@ def cmd_bench(args) -> int:
         raise InputError("--runs must be >= 1")
     if args.jobs < 1:
         raise InputError("--jobs must be >= 1")
-    if args.instances:
-        names = [s.strip() for s in args.instances.split(",") if s.strip()]
-        base = Path(args.dir) if args.dir else Path(".")
-        paths = []
-        for name in names:
-            found = [c for c in (base / name, base / f"{name}.txt", base / f"{name}.dat")
-                     if c.exists()]
-            if not found:
-                raise InputError(f"instance {name} not found under {base}")
-            paths.append(found[0])
-    elif args.dir:
-        paths = sorted(p for p in Path(args.dir).iterdir() if p.is_file())
-        if not paths:
-            raise InputError(f"no instance files in {args.dir}")
-    else:
-        raise InputError("bench needs --dir or --instances")
-
-    strategies = [args.strategy]
-    if args.ablate == "descent":
-        strategies = ["o1_only", "union", "random_mix", "sequential"]
-    rhos = [args.rho]
-    if args.ablate == "rho":
-        rhos = []
-        for token in args.rho_values.split(","):
-            try:
-                rhos.append(float(token))
-            except ValueError:
-                raise InputError(f"--rho-values: {token.strip()!r} is not a number") from None
-
-    # Every instance is parsed once and every run's parameters are checked
-    # before the first run, so a bad input fails the bench as a whole.
+    # The grid is instance x strategy x rho.  Every instance is parsed once
+    # and every run's parameters are checked before the first run, so a bad
+    # input fails the bench as a whole.
     cells = []
     run_graphs: list[Graph] = []
     run_params: list[SearchParams] = []
-    for path in paths:
-        g = _load_instance(str(path))
-        for strategy in strategies:
-            for rho in rhos:
-                cells.append((path, g, strategy, rho))
+    for path in args.instance:
+        g = _load_instance(path)
+        for strategy in args.strategy:
+            for rho in args.rho:
+                cells.append((Path(path).name, g, strategy, rho))
                 for r in range(args.runs):
                     run_graphs.append(g)
-                    run_params.append(_params_from_args(
-                        g, args, args.base_seed + r, rho=rho, descent_strategy=strategy
-                    ))
+                    seed = args.base_seed + r
+                    run_params.append(_params_from_args(g, args, seed, rho, strategy))
+    _check_writable(args.out)
 
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -188,12 +168,12 @@ def cmd_bench(args) -> int:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(BENCH_COLUMNS)
-    for c, (path, g, strategy, rho) in enumerate(cells):
+    for c, (name, g, strategy, rho) in enumerate(cells):
         runs = results[c * args.runs:(c + 1) * args.runs]
         fs = [r.f_best for r in runs]
         writer.writerow(
             [
-                path.name,
+                name,
                 g.n,
                 g.m,
                 args.k,
@@ -268,6 +248,17 @@ def cmd_oracle(args) -> int:
     return 0
 
 
+def _numbers(text: str) -> list[float]:
+    """A comma-separated list of numbers, such as bench's --rho grid."""
+    values = []
+    for token in text.split(","):
+        try:
+            values.append(float(token))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{token.strip()!r} is not a number") from None
+    return values
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="maxkcut", description="Multi-operator local search for max-k-cut"
@@ -278,14 +269,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--k", type=int, default=2)
         p.add_argument("--omega", type=int, default=500)
         p.add_argument("--xi", type=int, default=1000)
-        p.add_argument("--rho", type=float, default=0.5)
         p.add_argument("--gamma-fraction", dest="gamma_fraction", type=float, default=0.1)
         p.add_argument("--phi", type=float, default=None,
                        help="O2 edge-sampling fraction (default 0.1/max_degree)")
-        p.add_argument("--strategy", choices=DESCENT_STRATEGIES, default="sequential")
         p.add_argument("--time-limit", type=float, default=None,
                        help="seconds; default tiers by instance size")
-        p.add_argument("--quick", action="store_true", help="60 s budget profile")
 
     p_solve = sub.add_parser("solve", help="run the search once on an instance")
     p_solve.add_argument("--instance", required=True)
@@ -296,18 +284,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--solution-format", choices=["json", "text"], default="json")
     p_solve.add_argument("--trace-out", default=None,
                          help="CSV of (elapsed_seconds, f_best) improvements")
+    p_solve.add_argument("--rho", type=float, default=0.5,
+                         help="probability of O3 in the diversified phase")
+    p_solve.add_argument("--strategy", choices=DESCENT_STRATEGIES, default="sequential")
     add_search_flags(p_solve)
     p_solve.set_defaults(func=cmd_solve)
 
     p_bench = sub.add_parser("bench", help="seeded multi-run benchmark harness")
-    p_bench.add_argument("--dir", default=None)
-    p_bench.add_argument("--instances", default=None,
-                         help="comma-separated instance names under --dir")
+    p_bench.add_argument("--instance", nargs="+", required=True, metavar="PATH")
     p_bench.add_argument("--runs", type=int, default=10)
     p_bench.add_argument("--base-seed", type=int, default=0)
     p_bench.add_argument("--jobs", type=int, default=1)
-    p_bench.add_argument("--ablate", choices=["none", "descent", "rho"], default="none")
-    p_bench.add_argument("--rho-values", default="0,0.5,1")
+    p_bench.add_argument("--rho", type=_numbers, default=[0.5],
+                         help="comma-separated O3 probabilities, one row each")
+    p_bench.add_argument("--strategy", type=lambda text: text.split(","),
+                         default=["sequential"], help="comma-separated descent strategies "
+                         f"out of {', '.join(DESCENT_STRATEGIES)}, one row each")
     p_bench.add_argument("--out", default=None, help="CSV output path (default stdout)")
     add_search_flags(p_bench)
     p_bench.set_defaults(func=cmd_bench)
@@ -329,8 +321,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:  # argparse exits 2 on a usage error, 0 after --help
+        return 1 if e.code else 0
     try:
         return args.func(args)
     except InputError as e:

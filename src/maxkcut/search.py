@@ -45,15 +45,17 @@ class SearchParams:
     def check(self) -> None:
         if self.k < 2:
             raise ValueError("k must be >= 2")
-        if self.omega < 1:
+        # Written so that NaN fails each check.
+        if not (self.omega >= 1):
             raise ValueError("omega must be >= 1")
-        if self.xi < 1:
+        if not (self.xi >= 1):
             raise ValueError("xi must be >= 1")
+        if self.max_rounds is not None and not (self.max_rounds >= 1):
+            raise ValueError("max_rounds must be >= 1")
         if not (0.0 <= self.rho <= 1.0):
             raise ValueError("rho must be in [0, 1]")
         if not (0.0 < self.gamma_fraction <= 1.0):
             raise ValueError("gamma_fraction must be in (0, 1]")
-        # Written so that NaN fails each check.
         if self.phi is not None and not (0.0 < self.phi < math.inf):
             raise ValueError("phi must be finite and > 0")
         if not (self.time_limit >= 0.0):

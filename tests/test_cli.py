@@ -1,10 +1,13 @@
 import json
 import random
+import re
+import shlex
 import time
+from pathlib import Path
 
 import pytest
 
-from maxkcut.cli import main
+from maxkcut.cli import build_parser, main
 
 from conftest import random_graph
 from maxkcut.graph import write_instance
@@ -57,9 +60,11 @@ def test_solve_invalid_instance(tmp_path, capsys):
     assert "out of range" in capsys.readouterr().err
 
 
-def test_solve_invalid_k(tri_path, capsys):
-    rc = main(["solve", "--instance", str(tri_path), "--k", "9"])
+def test_solve_invalid_k(tri_path, tmp_path, capsys):
+    sol = tmp_path / "sol.json"
+    rc = main(["solve", "--instance", str(tri_path), "--k", "9", "--solution-out", str(sol)])
     assert rc == 1
+    assert not sol.exists()
 
 
 def test_check_pass(tri_path, tmp_path, capsys):
@@ -203,7 +208,7 @@ def test_oracle_k_below_two_is_input_error(tri_path, capsys):
 
 def test_bench_csv_shape(tri_path, tmp_path):
     out = tmp_path / "report.csv"
-    rc = main(["bench", "--instances", "tri.txt", "--dir", str(tri_path.parent),
+    rc = main(["bench", "--instance", str(tri_path),
                "--k", "2", "--runs", "3", "--time-limit", "0.2",
                "--base-seed", "7", "--out", str(out)])
     assert rc == 0
@@ -221,7 +226,7 @@ def test_bench_byte_identical_repeats(tri_path, tmp_path):
     outs = []
     for name in ("a.csv", "b.csv"):
         out = tmp_path / name
-        rc = main(["bench", "--instances", "tri.txt", "--dir", str(tri_path.parent),
+        rc = main(["bench", "--instance", str(tri_path),
                    "--k", "2", "--runs", "2", "--time-limit", "0.1",
                    "--base-seed", "3", "--out", str(out)])
         assert rc == 0
@@ -231,9 +236,9 @@ def test_bench_byte_identical_repeats(tri_path, tmp_path):
 
 def test_bench_descent_ablation_rows(tri_path, tmp_path):
     out = tmp_path / "ab.csv"
-    rc = main(["bench", "--instances", "tri.txt", "--dir", str(tri_path.parent),
-               "--ablate", "descent", "--runs", "1", "--time-limit", "0.1",
-               "--out", str(out)])
+    rc = main(["bench", "--instance", str(tri_path),
+               "--strategy", "o1_only,union,random_mix,sequential", "--runs", "1",
+               "--time-limit", "0.1", "--out", str(out)])
     assert rc == 0
     lines = out.read_text().splitlines()[1:]
     strategies = [line.split(",")[4] for line in lines]
@@ -242,8 +247,8 @@ def test_bench_descent_ablation_rows(tri_path, tmp_path):
 
 def test_bench_rho_ablation_rows(tri_path, tmp_path):
     out = tmp_path / "rho.csv"
-    rc = main(["bench", "--instances", "tri.txt", "--dir", str(tri_path.parent),
-               "--ablate", "rho", "--rho-values", "0,0.5,1", "--runs", "1",
+    rc = main(["bench", "--instance", str(tri_path),
+               "--rho", "0,0.5,1", "--runs", "1",
                "--time-limit", "0.1", "--out", str(out)])
     assert rc == 0
     lines = out.read_text().splitlines()[1:]
@@ -264,15 +269,15 @@ def test_bench_reported_best_passes_check(tri_path, tmp_path, capsys):
 
 
 def test_bench_missing_instance(tmp_path, capsys):
-    rc = main(["bench", "--instances", "nope", "--dir", str(tmp_path),
+    rc = main(["bench", "--instance", str(tmp_path / "nope"),
                "--runs", "1", "--time-limit", "0.1"])
     assert rc == 1
 
 
 def test_bench_bad_rho_value_is_input_error(tri_path, tmp_path, capsys):
     out = tmp_path / "rho.csv"
-    rc = main(["bench", "--instances", "tri.txt", "--dir", str(tri_path.parent),
-               "--ablate", "rho", "--rho-values", "0,abc", "--runs", "1",
+    rc = main(["bench", "--instance", str(tri_path),
+               "--rho", "0,abc", "--runs", "1",
                "--time-limit", "0.1", "--out", str(out)])
     assert rc == 1
     assert "'abc'" in capsys.readouterr().err
@@ -282,7 +287,7 @@ def test_bench_bad_rho_value_is_input_error(tri_path, tmp_path, capsys):
 @pytest.mark.parametrize("flag", ["--jobs", "--runs"])
 def test_bench_count_below_one_is_input_error(tri_path, tmp_path, capsys, flag):
     out = tmp_path / "report.csv"
-    rc = main(["bench", "--instances", "tri.txt", "--dir", str(tri_path.parent),
+    rc = main(["bench", "--instance", str(tri_path),
                "--runs", "1", "--time-limit", "0.1", flag, "0", "--out", str(out)])
     assert rc == 1
     assert f"{flag} must be >= 1" in capsys.readouterr().err
@@ -314,7 +319,7 @@ def test_solve_negative_time_limit_is_input_error(tri_path, capsys):
 
 def test_bench_k_above_n_is_input_error(tri_path, tmp_path, capsys):
     out = tmp_path / "report.csv"
-    rc = main(["bench", "--instances", "tri.txt", "--dir", str(tri_path.parent),
+    rc = main(["bench", "--instance", str(tri_path),
                "--k", "5", "--runs", "1", "--time-limit", "0.1", "--out", str(out)])
     assert rc == 1
     assert "k must satisfy" in capsys.readouterr().err
@@ -328,7 +333,7 @@ def test_huge_weights_are_input_error(tmp_path, capsys, command):
     if command == "solve":
         argv = ["solve", "--instance", str(inst)]
     else:
-        argv = ["bench", "--instances", "huge.txt", "--dir", str(tmp_path), "--runs", "1"]
+        argv = ["bench", "--instance", str(inst), "--runs", "1"]
     t0 = time.perf_counter()
     rc = main(argv + ["--k", "2", "--time-limit", "1"])
     assert time.perf_counter() - t0 < 1.0
@@ -347,7 +352,7 @@ def test_bench_forwards_search_flags(tri_path, tmp_path, monkeypatch):
         return real(g, params)
 
     monkeypatch.setattr(maxkcut.cli, "run_moh", spy)
-    rc = main(["bench", "--instances", "tri.txt", "--dir", str(tri_path.parent),
+    rc = main(["bench", "--instance", str(tri_path),
                "--k", "2", "--runs", "2", "--jobs", "1", "--time-limit", "0.1",
                "--omega", "7", "--xi", "9", "--gamma-fraction", "0.5", "--phi", "0.25",
                "--strategy", "union", "--out", str(tmp_path / "report.csv")])
@@ -363,7 +368,7 @@ def test_bench_forwards_search_flags(tri_path, tmp_path, monkeypatch):
 def test_bench_bad_instance_is_input_error(tri_path, tmp_path, capsys, jobs):
     (tmp_path / "short.txt").write_text("3 5\n1 2 1\n")
     out = tmp_path / "report.csv"
-    rc = main(["bench", "--instances", "tri.txt,short.txt", "--dir", str(tmp_path),
+    rc = main(["bench", "--instance", str(tri_path), str(tmp_path / "short.txt"),
                "--k", "2", "--runs", "1", "--jobs", jobs, "--time-limit", "0.1",
                "--out", str(out)])
     assert rc == 1
@@ -379,10 +384,71 @@ def test_bench_jobs_share_one_run_path(tri_path, tmp_path):
     rows = {}
     for jobs in ("1", "2"):
         out = tmp_path / f"jobs{jobs}.csv"
-        rc = main(["bench", "--instances", "tri.txt,r9.txt", "--dir", str(tmp_path),
+        rc = main(["bench", "--instance", str(tri_path), str(tmp_path / "r9.txt"),
                    "--k", "2", "--runs", "3", "--jobs", jobs, "--time-limit", "0.2",
                    "--base-seed", "5", "--out", str(out)])
         assert rc == 0
         rows[jobs] = [line.rsplit(",", 1)[0] for line in out.read_text().splitlines()]
     assert len(rows["1"]) == 3
     assert rows["2"] == rows["1"]
+
+
+def test_bench_unknown_strategy_is_input_error(tri_path, tmp_path, capsys):
+    out = tmp_path / "report.csv"
+    rc = main(["bench", "--instance", str(tri_path), "--strategy", "union,bogus",
+               "--runs", "1", "--time-limit", "0.1", "--out", str(out)])
+    assert rc == 1
+    assert "'bogus'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--bogus"],
+    ["solve", "--instance", "g.txt", "--strategy", "bogus"],
+    ["solve", "--instance", "g.txt", "--k", "two"],
+    [],
+], ids=["unknown-flag", "bad-choice", "bad-int", "no-subcommand"])
+def test_usage_error_exits_1(capsys, argv):
+    assert main(argv) == 1
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    assert main(["solve", "--help"]) == 0
+    assert "--instance" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("solve", "--solution-out"),
+    ("solve", "--trace-out"),
+    ("bench", "--out"),
+])
+def test_unwritable_output_fails_before_search(tri_path, tmp_path, capsys, monkeypatch,
+                                              command, flag):
+    import maxkcut.cli
+
+    def no_search(g, params):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(maxkcut.cli, "run_moh", no_search)
+    path = tmp_path / "missing" / "out"
+    rc = main([command, "--instance", str(tri_path), "--k", "2", "--time-limit", "60",
+               flag, str(path)])
+    assert rc == 1
+    assert f"error: cannot write {path}" in capsys.readouterr().err
+
+
+def test_readme_commands_parse():
+    # Every `maxkcut ...` line in README's code blocks, `\` continuations
+    # joined, must parse, so the docs cannot keep a removed flag.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = "".join(re.findall(r"^```\w*\n(.*?)^```", readme, re.M | re.S))
+    lines = blocks.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("maxkcut ")]
+    assert len(commands) >= 5
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: maxkcut {shlex.join(argv)}")

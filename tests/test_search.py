@@ -206,6 +206,12 @@ def test_run_invalid_params(triangle):
     make_params(time_limit=math.inf).check()
     with pytest.raises(ValueError, match="k must"):
         run_moh(triangle, make_params(k=1))
+    for rounds in (0, -3):
+        with pytest.raises(ValueError, match="max_rounds"):
+            run_moh(triangle, make_params(max_rounds=rounds))
+    for name in ("omega", "xi"):
+        with pytest.raises(ValueError, match=name):
+            run_moh(triangle, make_params(**{name: math.nan}, max_rounds=1))
 
 
 def test_time_budget_is_respected():
