@@ -13,7 +13,6 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from .buckets import check_bucket_cells
 from .graph import Graph, GraphFormatError, parse_instance
 from .oracle import OracleGuardError, exact_max_kcut
 from .partition import (
@@ -46,15 +45,6 @@ class InputError(Exception):
     pass
 
 
-def default_time_limit(n: int) -> float:
-    """Budget tiers by instance size: 30 min, 2 h, 4 h."""
-    if n < 5000:
-        return 1800.0
-    if n < 10000:
-        return 7200.0
-    return 14400.0
-
-
 def _load_instance(path: str) -> Graph:
     try:
         text = Path(path).read_text()
@@ -69,13 +59,6 @@ def _load_instance(path: str) -> Graph:
 def _params_from_args(g: Graph, args, seed: int, rho: float, strategy: str) -> SearchParams:
     """SearchParams of one run on g from the search flags.  Out-of-range
     values are input errors."""
-    if not (2 <= args.k <= g.n):
-        raise InputError(f"k must satisfy 2 <= k <= n={g.n}")
-    try:
-        check_bucket_cells(g, args.k)
-    except ValueError as e:
-        raise InputError(str(e)) from e
-    time_limit = default_time_limit(g.n) if args.time_limit is None else args.time_limit
     params = SearchParams(
         k=args.k,
         omega=args.omega,
@@ -83,13 +66,13 @@ def _params_from_args(g: Graph, args, seed: int, rho: float, strategy: str) -> S
         rho=rho,
         gamma_fraction=args.gamma_fraction,
         phi=args.phi,
-        time_limit=time_limit,
+        time_limit=args.time_limit,
         target_objective=getattr(args, "target", None),
         seed=seed,
         descent_strategy=strategy,
     )
     try:
-        params.check()
+        params.check(g)
     except ValueError as e:
         raise InputError(str(e)) from e
     return params
@@ -267,38 +250,44 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_search_flags(p):
         p.add_argument("--k", type=int, default=2)
-        p.add_argument("--omega", type=int, default=500)
-        p.add_argument("--xi", type=int, default=1000)
-        p.add_argument("--gamma-fraction", dest="gamma_fraction", type=float, default=0.1)
-        p.add_argument("--phi", type=float, default=None,
-                       help="O2 edge-sampling fraction (default 0.1/max_degree)")
-        p.add_argument("--time-limit", type=float, default=None,
+        p.add_argument("--omega", type=int, default=SearchParams.omega,
+                       help="max diversified moves per phase (default %(default)s)")
+        p.add_argument("--xi", type=int, default=SearchParams.xi,
+                       help="non-improving rounds before a perturbation (default %(default)s)")
+        p.add_argument("--gamma-fraction", type=float, default=SearchParams.gamma_fraction,
+                       help="perturbation strength as a fraction of n (default %(default)s)")
+        p.add_argument("--phi", type=float, default=SearchParams.phi,
+                       help="O2 edge-sampling fraction (default 1/(10*max_degree))")
+        p.add_argument("--time-limit", type=float, default=SearchParams.time_limit,
                        help="seconds; default tiers by instance size")
 
     p_solve = sub.add_parser("solve", help="run the search once on an instance")
     p_solve.add_argument("--instance", required=True)
-    p_solve.add_argument("--seed", type=int, default=0)
+    p_solve.add_argument("--seed", type=int, default=SearchParams.seed)
     p_solve.add_argument("--target", type=int, default=None,
                          help="stop early when this objective is reached")
     p_solve.add_argument("--solution-out", default=None)
     p_solve.add_argument("--solution-format", choices=["json", "text"], default="json")
     p_solve.add_argument("--trace-out", default=None,
                          help="CSV of (elapsed_seconds, f_best) improvements")
-    p_solve.add_argument("--rho", type=float, default=0.5,
-                         help="probability of O3 in the diversified phase")
-    p_solve.add_argument("--strategy", choices=DESCENT_STRATEGIES, default="sequential")
+    p_solve.add_argument("--rho", type=float, default=SearchParams.rho,
+                         help="probability of O3 in the diversified phase (default %(default)s)")
+    p_solve.add_argument("--strategy", choices=DESCENT_STRATEGIES,
+                         default=SearchParams.descent_strategy,
+                         help="descent strategy (default %(default)s)")
     add_search_flags(p_solve)
     p_solve.set_defaults(func=cmd_solve)
 
     p_bench = sub.add_parser("bench", help="seeded multi-run benchmark harness")
     p_bench.add_argument("--instance", nargs="+", required=True, metavar="PATH")
     p_bench.add_argument("--runs", type=int, default=10)
-    p_bench.add_argument("--base-seed", type=int, default=0)
+    p_bench.add_argument("--base-seed", type=int, default=SearchParams.seed)
     p_bench.add_argument("--jobs", type=int, default=1)
-    p_bench.add_argument("--rho", type=_numbers, default=[0.5],
+    p_bench.add_argument("--rho", type=_numbers, default=[SearchParams.rho],
                          help="comma-separated O3 probabilities, one row each")
     p_bench.add_argument("--strategy", type=lambda text: text.split(","),
-                         default=["sequential"], help="comma-separated descent strategies "
+                         default=[SearchParams.descent_strategy],
+                         help="comma-separated descent strategies "
                          f"out of {', '.join(DESCENT_STRATEGIES)}, one row each")
     p_bench.add_argument("--out", default=None, help="CSV output path (default stdout)")
     add_search_flags(p_bench)

@@ -8,6 +8,7 @@ stored 0-indexed internally.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
 
 class GraphFormatError(ValueError):
@@ -52,16 +53,20 @@ class Graph:
     def from_edges(cls, n: int, edges) -> "Graph":
         """Build a graph from 0-indexed (u, v, w) edges.
 
-        The one validator of edge lists: an out-of-range vertex id, a
-        self-loop or a repeated vertex pair raises GraphFormatError carrying
-        the index of the offending edge.
+        The one validator of edge lists: a field that is not an integer, an
+        out-of-range vertex id, a self-loop or a repeated vertex pair raises
+        GraphFormatError carrying the index of the offending edge.
         """
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        edges = tuple((int(u), int(v), int(w)) for u, v, w in edges)
+        edges = list(edges)
         seen: set[tuple[int, int]] = set()
         adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         for i, (u, v, w) in enumerate(edges):
+            try:
+                edges[i] = u, v, w = index(u), index(v), index(w)
+            except TypeError:
+                raise GraphFormatError("vertex id or weight not an integer", edge=i) from None
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphFormatError("vertex id out of range", edge=i)
             if u == v:
@@ -74,7 +79,7 @@ class Graph:
             adj[v].append((u, w))
         max_degree = max((len(a) for a in adj), default=0)
         big_w = max((sum(abs(w) for _, w in a) for a in adj), default=0)
-        nonzero = edges
+        nonzero = edges = tuple(edges)
         if any(w == 0 for _, _, w in edges):
             nonzero = tuple(e for e in edges if e[2] != 0)
         return cls(

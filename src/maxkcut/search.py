@@ -8,7 +8,7 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from .buckets import SearchState, init_state
+from .buckets import SearchState, check_bucket_cells, init_state
 from .graph import Graph
 from .operators import (
     apply_move,
@@ -28,6 +28,11 @@ DESCENT_STRATEGIES = ("sequential", "o1_only", "union", "random_mix")
 TIME_CHECK_STRIDE = 128
 
 
+def default_time_limit(n: int) -> float:
+    """Budget tiers by instance size: 30 min below n = 5000, 2 h below 10000, else 4 h."""
+    return 1800.0 if n < 5000 else 7200.0 if n < 10000 else 14400.0
+
+
 @dataclass
 class SearchParams:
     k: int
@@ -36,15 +41,17 @@ class SearchParams:
     rho: float = 0.5  # probability of O3 in the diversified phase
     gamma_fraction: float = 0.1  # perturbation strength as fraction of n
     phi: float | None = None  # O2 edge-sampling fraction; None = 0.1/d, 1 = all
-    time_limit: float = 1800.0
+    time_limit: float | None = None  # seconds; None = default_time_limit(n)
     target_objective: int | None = None
     max_rounds: int | None = None  # deterministic stop for tests
     seed: int = 0
     descent_strategy: str = "sequential"
 
-    def check(self) -> None:
-        if self.k < 2:
-            raise ValueError("k must be >= 2")
+    def check(self, g: Graph) -> None:
+        """Raise ValueError unless these parameters fit a run on g."""
+        if not (2 <= self.k <= g.n):
+            raise ValueError(f"k must satisfy 2 <= k <= n={g.n}")
+        check_bucket_cells(g, self.k)
         # Written so that NaN fails each check.
         if not (self.omega >= 1):
             raise ValueError("omega must be >= 1")
@@ -58,7 +65,7 @@ class SearchParams:
             raise ValueError("gamma_fraction must be in (0, 1]")
         if self.phi is not None and not (0.0 < self.phi < math.inf):
             raise ValueError("phi must be finite and > 0")
-        if not (self.time_limit >= 0.0):
+        if self.time_limit is not None and not (self.time_limit >= 0.0):
             raise ValueError("time_limit must be >= 0")
         if self.descent_strategy not in DESCENT_STRATEGIES:
             raise ValueError(f"unknown descent strategy {self.descent_strategy!r}")
@@ -84,7 +91,7 @@ class _BestTracker:
     time budget and optional target objective."""
 
     __slots__ = ("f_best", "best_assign", "t0", "time_limit", "target",
-                 "time_to_best", "trace", "_countdown")
+                 "trace", "_countdown")
 
     def __init__(self, s: SearchState, time_limit: float, target: int | None):
         self.f_best = s.f
@@ -92,7 +99,6 @@ class _BestTracker:
         self.t0 = time.perf_counter()
         self.time_limit = time_limit
         self.target = target
-        self.time_to_best = 0.0
         self.trace: list[tuple[float, int]] = [(0.0, s.f)]
         self._countdown = TIME_CHECK_STRIDE
 
@@ -100,8 +106,7 @@ class _BestTracker:
         if s.f > self.f_best:
             self.f_best = s.f
             self.best_assign = list(s.partition.assign)
-            self.time_to_best = time.perf_counter() - self.t0
-            self.trace.append((self.time_to_best, s.f))
+            self.trace.append((time.perf_counter() - self.t0, s.f))
             if self.target is not None and self.f_best >= self.target:
                 raise _StopSearch
         self._countdown -= 1
@@ -211,12 +216,13 @@ def run_moh(g: Graph, params: SearchParams) -> SearchResult:
     """Full search: random initial solution, then rounds of descent and
     diversified phases with perturbation after xi non-improving rounds,
     until the time budget or target objective is reached."""
-    params.check()
+    params.check(g)
     rng = random.Random(params.seed)
     p = random_initial(g, params.k, rng)
     s = init_state(g, p)
     tabu = TabuList(g.n)
-    tracker = _BestTracker(s, params.time_limit, params.target_objective)
+    time_limit = default_time_limit(g.n) if params.time_limit is None else params.time_limit
+    tracker = _BestTracker(s, time_limit, params.target_objective)
     rounds = 0
     perturbations = 0
     c_non_impv = 0
@@ -243,7 +249,7 @@ def run_moh(g: Graph, params: SearchParams) -> SearchResult:
     return SearchResult(
         best_partition=Partition(k=params.k, assign=tracker.best_assign),
         f_best=tracker.f_best,
-        time_to_best=tracker.time_to_best,
+        time_to_best=tracker.trace[-1][0],
         total_iterations=s.iter,
         rounds=rounds,
         perturbations=perturbations,

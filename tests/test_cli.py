@@ -418,6 +418,14 @@ def test_help_exits_0(capsys):
     assert "--instance" in capsys.readouterr().out
 
 
+def test_solve_help_shows_tuned_defaults(capsys):
+    assert main(["solve", "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    # the flag's own help line, not the usage line or the choices
+    assert re.search(r"--omega OMEGA [^-]*\b500\b", text)
+    assert re.search(r"--strategy \{[^}]*\} [^-]*\bsequential\b", text)
+
+
 @pytest.mark.parametrize("command,flag", [
     ("solve", "--solution-out"),
     ("solve", "--trace-out"),
@@ -436,6 +444,14 @@ def test_unwritable_output_fails_before_search(tri_path, tmp_path, capsys, monke
                flag, str(path)])
     assert rc == 1
     assert f"error: cannot write {path}" in capsys.readouterr().err
+
+
+def test_readme_python_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    assert capsys.readouterr().out.startswith("6 ")
 
 
 def test_readme_commands_parse():

@@ -48,6 +48,19 @@ def test_from_edges_error_carries_edge_index():
         Graph.from_edges(2, [(0, 2, 1)])
 
 
+@pytest.mark.parametrize("edge", [(0, 2, 1.5), (0.9, 2, 2), ("1", 2, 1), (1, 2, None)])
+def test_from_edges_rejects_non_integers(edge):
+    # truncating 1.5 to 1 or parsing "1" would make a different graph
+    with pytest.raises(GraphFormatError, match="not an integer in edge 1"):
+        Graph.from_edges(3, [(0, 1, 1), edge])
+
+
+def test_from_edges_accepts_integer_subclasses():
+    g = Graph.from_edges(3, [(0, 1, True), (0, 2, 2)])
+    assert g.edges == ((0, 1, 1), (0, 2, 2))
+    assert all(type(x) is int for e in g.edges for x in e)
+
+
 def test_token_errors_are_reported_before_edge_checks():
     # edge lines are tokenized before Graph.from_edges validates them
     with pytest.raises(GraphFormatError, match="malformed edge.* at line 3"):

@@ -203,15 +203,37 @@ def test_run_invalid_params(triangle):
         run_moh(triangle, make_params(time_limit=-1.0))
     with pytest.raises(ValueError, match="time_limit"):
         run_moh(triangle, make_params(time_limit=math.nan, max_rounds=1))
-    make_params(time_limit=math.inf).check()
-    with pytest.raises(ValueError, match="k must"):
-        run_moh(triangle, make_params(k=1))
+    make_params(time_limit=math.inf).check(triangle)
+    make_params(time_limit=None).check(triangle)
+    for k in (1, 4):
+        with pytest.raises(ValueError, match="k must satisfy 2 <= k <= n=3"):
+            run_moh(triangle, make_params(k=k))
     for rounds in (0, -3):
         with pytest.raises(ValueError, match="max_rounds"):
             run_moh(triangle, make_params(max_rounds=rounds))
     for name in ("omega", "xi"):
         with pytest.raises(ValueError, match=name):
             run_moh(triangle, make_params(**{name: math.nan}, max_rounds=1))
+
+
+@pytest.mark.parametrize("n,seconds", [(4999, 1800.0), (5000, 7200.0), (9999, 7200.0),
+                                       (10000, 14400.0)])
+def test_default_time_limit_tiers(n, seconds):
+    assert search.default_time_limit(n) == seconds
+
+
+def test_run_default_budget_is_the_size_tier(monkeypatch):
+    budgets = []
+    real = search._BestTracker
+
+    def spy(s, time_limit, target):
+        budgets.append(time_limit)
+        return real(s, time_limit, target)
+
+    monkeypatch.setattr(search, "_BestTracker", spy)
+    g = Graph.from_edges(10000, [(0, 1, 1)])
+    assert run_moh(g, SearchParams(k=2, target_objective=1)).f_best == 1
+    assert budgets == [14400.0]
 
 
 def test_time_budget_is_respected():
