@@ -249,7 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_search_flags(p):
-        p.add_argument("--k", type=int, default=2)
+        p.add_argument("--k", type=int, default=2,
+                       help="number of subsets (default %(default)s)")
         p.add_argument("--omega", type=int, default=SearchParams.omega,
                        help="max diversified moves per phase (default %(default)s)")
         p.add_argument("--xi", type=int, default=SearchParams.xi,
@@ -280,15 +281,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="seeded multi-run benchmark harness")
     p_bench.add_argument("--instance", nargs="+", required=True, metavar="PATH")
-    p_bench.add_argument("--runs", type=int, default=10)
-    p_bench.add_argument("--base-seed", type=int, default=SearchParams.seed)
-    p_bench.add_argument("--jobs", type=int, default=1)
+    p_bench.add_argument("--runs", type=int, default=10,
+                         help="seeded runs per row (default %(default)s)")
+    p_bench.add_argument("--base-seed", type=int, default=SearchParams.seed,
+                         help="seed of a row's first run; run r uses base seed + r "
+                         "(default %(default)s)")
+    p_bench.add_argument("--jobs", type=int, default=1,
+                         help="worker processes (default %(default)s)")
     p_bench.add_argument("--rho", type=_numbers, default=[SearchParams.rho],
-                         help="comma-separated O3 probabilities, one row each")
+                         help="comma-separated O3 probabilities, one row each "
+                         f"(default {SearchParams.rho})")
     p_bench.add_argument("--strategy", type=lambda text: text.split(","),
                          default=[SearchParams.descent_strategy],
                          help="comma-separated descent strategies "
-                         f"out of {', '.join(DESCENT_STRATEGIES)}, one row each")
+                         f"out of {', '.join(DESCENT_STRATEGIES)}, one row each "
+                         f"(default {SearchParams.descent_strategy})")
     p_bench.add_argument("--out", default=None, help="CSV output path (default stdout)")
     add_search_flags(p_bench)
     p_bench.set_defaults(func=cmd_bench)

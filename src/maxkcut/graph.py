@@ -53,16 +53,21 @@ class Graph:
     def from_edges(cls, n: int, edges) -> "Graph":
         """Build a graph from 0-indexed (u, v, w) edges.
 
-        The one validator of edge lists: a field that is not an integer, an
-        out-of-range vertex id, a self-loop or a repeated vertex pair raises
-        GraphFormatError carrying the index of the offending edge.
+        The one validator of edge lists: an edge that is not a triple, a
+        field that is not an integer, an out-of-range vertex id, a self-loop
+        or a repeated vertex pair raises GraphFormatError carrying the index
+        of the offending edge.
         """
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         edges = list(edges)
         seen: set[tuple[int, int]] = set()
         adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for i, (u, v, w) in enumerate(edges):
+        for i, edge in enumerate(edges):
+            try:
+                u, v, w = edge
+            except (TypeError, ValueError):
+                raise GraphFormatError("edge is not a (u, v, w) triple", edge=i) from None
             try:
                 edges[i] = u, v, w = index(u), index(v), index(w)
             except TypeError:

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from .buckets import SearchState, check_bucket_cells, init_state
 from .graph import Graph
 from .operators import (
+    Transfer,
     apply_move,
     op1_select,
     op2_select,
@@ -87,32 +88,49 @@ class _StopSearch(Exception):
 
 
 class _BestTracker:
-    """Records the best solution at every applied move and enforces the
-    time budget and optional target objective."""
+    """Keeps the first partition that reached the best f seen, and enforces
+    the time budget and optional target objective.
 
-    __slots__ = ("f_best", "best_assign", "t0", "time_limit", "target",
-                 "trace", "_countdown")
+    Each applied move is noted with its transfers.  While the state sits at
+    f_best, the live assignment is the best one and nothing is copied; the
+    first move that leaves it copies the assignment once and undoes that
+    move's transfers in the copy."""
+
+    __slots__ = ("f_best", "_best_assign", "_at_best", "t0", "time_limit",
+                 "target", "trace", "_countdown")
 
     def __init__(self, s: SearchState, time_limit: float, target: int | None):
         self.f_best = s.f
-        self.best_assign = list(s.partition.assign)
+        self._best_assign: list[int] = []
+        self._at_best = True
         self.t0 = time.perf_counter()
         self.time_limit = time_limit
         self.target = target
         self.trace: list[tuple[float, int]] = [(0.0, s.f)]
         self._countdown = TIME_CHECK_STRIDE
 
-    def note(self, s: SearchState) -> None:
+    def note(self, s: SearchState, first: Transfer, second: Transfer | None = None) -> None:
+        """Record the move of transfers first (and second) just applied to s."""
         if s.f > self.f_best:
             self.f_best = s.f
-            self.best_assign = list(s.partition.assign)
+            self._at_best = True
             self.trace.append((time.perf_counter() - self.t0, s.f))
             if self.target is not None and self.f_best >= self.target:
                 raise _StopSearch
+        elif self._at_best:
+            best = self._best_assign = list(s.partition.assign)
+            if second is not None:
+                best[second.vertex] = second.origin
+            best[first.vertex] = first.origin
+            self._at_best = False
         self._countdown -= 1
         if self._countdown <= 0:
             self._countdown = TIME_CHECK_STRIDE
             self.check_stop()
+
+    def best_assign(self, s: SearchState) -> list[int]:
+        """The best partition's assignment, given the current state s."""
+        return list(s.partition.assign) if self._at_best else self._best_assign
 
     def check_stop(self) -> None:
         """Raise _StopSearch once the target is reached or the budget spent."""
@@ -164,7 +182,7 @@ def descent_phase(
         if move is None:
             return
         apply_move(s, move)
-        tracker.note(s)
+        tracker.note(s, move.first, move.second)
 
 
 def diversified_phase(
@@ -191,7 +209,7 @@ def diversified_phase(
             for tr in (move.first, move.second):
                 if tr is not None:
                     tabu.record(tr.vertex, tr.origin, s.iter, rng)
-            tracker.note(s)
+            tracker.note(s, move.first, move.second)
             c_div += 1
             if c_div > params.omega or s.f > f_lo:
                 return
@@ -208,8 +226,7 @@ def perturb(
     """Apply gamma = max(1, round(gamma_fraction * n)) random transfers."""
     gamma = max(1, round(params.gamma_fraction * s.graph.n))
     for _ in range(gamma):
-        op5_apply(s, rng)
-        tracker.note(s)
+        tracker.note(s, op5_apply(s, rng))
 
 
 def run_moh(g: Graph, params: SearchParams) -> SearchResult:
@@ -247,7 +264,7 @@ def run_moh(g: Graph, params: SearchParams) -> SearchResult:
     except _StopSearch:
         pass
     return SearchResult(
-        best_partition=Partition(k=params.k, assign=tracker.best_assign),
+        best_partition=Partition(k=params.k, assign=tracker.best_assign(s)),
         f_best=tracker.f_best,
         time_to_best=tracker.trace[-1][0],
         total_iterations=s.iter,

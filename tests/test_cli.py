@@ -426,6 +426,21 @@ def test_solve_help_shows_tuned_defaults(capsys):
     assert re.search(r"--strategy \{[^}]*\} [^-]*\bsequential\b", text)
 
 
+@pytest.mark.parametrize("flag,default", [
+    ("--runs RUNS", "10"),
+    ("--base-seed BASE_SEED", "0"),
+    ("--jobs JOBS", "1"),
+    ("--rho RHO", "0.5"),
+    ("--strategy STRATEGY", "sequential"),
+    ("--k K", "2"),
+])
+def test_bench_help_shows_defaults(capsys, flag, default):
+    assert main(["bench", "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    # the flag's own help line, up to the next flag
+    assert re.search(rf"{flag} (?:(?! --).)*\(default {re.escape(default)}\)", text)
+
+
 @pytest.mark.parametrize("command,flag", [
     ("solve", "--solution-out"),
     ("solve", "--trace-out"),

@@ -55,6 +55,13 @@ def test_from_edges_rejects_non_integers(edge):
         Graph.from_edges(3, [(0, 1, 1), edge])
 
 
+@pytest.mark.parametrize("edge", [(0, 1), (0, 1, 1, 2), 5])
+def test_from_edges_rejects_non_triples(edge):
+    with pytest.raises(GraphFormatError) as err:
+        Graph.from_edges(3, [(0, 2, 1), edge])
+    assert (err.value.reason, err.value.edge) == ("edge is not a (u, v, w) triple", 1)
+
+
 def test_from_edges_accepts_integer_subclasses():
     g = Graph.from_edges(3, [(0, 1, True), (0, 2, 2)])
     assert g.edges == ((0, 1, 1), (0, 2, 2))

@@ -5,10 +5,11 @@ import random
 import pytest
 
 from maxkcut import search
-from maxkcut.buckets import init_state
+from maxkcut.buckets import apply_single_transfer, init_state
 from maxkcut.graph import Graph
 from maxkcut.oracle import exact_max_kcut
-from maxkcut.partition import Partition, evaluate, validate
+from maxkcut.operators import Transfer
+from maxkcut.partition import Partition, evaluate, random_initial, validate
 from maxkcut.search import (
     SearchParams,
     _BestTracker,
@@ -331,10 +332,16 @@ MOVE_DIGESTS = {
 }
 
 
+def _digest_case(k, strategy):
+    g = random_graph(random.Random(1510), 40, 0.3)
+    params = SearchParams(k=k, seed=7, max_rounds=20, xi=2, time_limit=600.0,
+                          descent_strategy=strategy)
+    return g, params
+
+
 def _move_digest(monkeypatch, k, strategy):
     import maxkcut.operators as operators
 
-    g = random_graph(random.Random(1510), 40, 0.3)
     moves = []
     apply = operators.apply_single_transfer
 
@@ -343,9 +350,7 @@ def _move_digest(monkeypatch, k, strategy):
         return apply(s, v, t)
 
     monkeypatch.setattr(operators, "apply_single_transfer", record)
-    params = SearchParams(k=k, seed=7, max_rounds=20, xi=2, time_limit=600.0,
-                          descent_strategy=strategy)
-    result = run_moh(g, params)
+    result = run_moh(*_digest_case(k, strategy))
     digest = hashlib.sha256(",".join(moves).encode()).hexdigest()
     return digest, result.f_best, result.total_iterations
 
@@ -354,3 +359,89 @@ def _move_digest(monkeypatch, k, strategy):
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_move_sequence_digest(monkeypatch, k, strategy):
     assert _move_digest(monkeypatch, k, strategy) == MOVE_DIGESTS[(k, strategy)]
+
+
+# SHA-256 of best_partition.assign (one byte a vertex) for the MOVE_DIGESTS
+# cases.  The move digest alone passes a tracker that keeps another partition
+# of the same f; the tracker keeps the first partition that reached f_best.
+BEST_DIGESTS = {
+    (2, "sequential"): "c895ae3633b88549f05073de0d29b5b6599dc20c688c87f58fd0842a11e8ef33",
+    (2, "o1_only"): "c895ae3633b88549f05073de0d29b5b6599dc20c688c87f58fd0842a11e8ef33",
+    (2, "union"): "c895ae3633b88549f05073de0d29b5b6599dc20c688c87f58fd0842a11e8ef33",
+    (2, "random_mix"): "c895ae3633b88549f05073de0d29b5b6599dc20c688c87f58fd0842a11e8ef33",
+    (3, "sequential"): "6a745a0c3e51c6429dc4fac20e80c7b85a162010bf8a7d20c217f1f3989736ec",
+    (3, "o1_only"): "c5ea7a6f543ac7e632f249c4e45cf6e3cb93348b77802aeff3d2e020729878d9",
+    (3, "union"): "c5ea7a6f543ac7e632f249c4e45cf6e3cb93348b77802aeff3d2e020729878d9",
+    (3, "random_mix"): "6a745a0c3e51c6429dc4fac20e80c7b85a162010bf8a7d20c217f1f3989736ec",
+    (4, "sequential"): "5e4b03416b698fd1d46c7913731794b7fe9dd70ddffc20c99a8dbd5543ca9144",
+    (4, "o1_only"): "5e4b03416b698fd1d46c7913731794b7fe9dd70ddffc20c99a8dbd5543ca9144",
+    (4, "union"): "2e7bddab893aa8c4937927c4fe95e3ebb3857a8b17e6c73a2ae5950f77d8a7e2",
+    (4, "random_mix"): "dc15b3155b8b771b6914076ae57ac03daf81a8d656b4a0a887fa225580f80657",
+}
+
+
+@pytest.mark.parametrize("strategy", ["sequential", "o1_only", "union", "random_mix"])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_best_partition_digest(k, strategy):
+    result = run_moh(*_digest_case(k, strategy))
+    digest = hashlib.sha256(bytes(result.best_partition.assign)).hexdigest()
+    assert digest == BEST_DIGESTS[(k, strategy)]
+
+
+# _BestTracker copies the best partition only when a move leaves it.  On the
+# path 0-1-2-3 with unit weights and the isolated vertex 4, k = 2, the best
+# f = 3 is reached at [0, 1, 0, 1, x], and a transfer of vertex 4 gains 0.
+def _path_state(assign):
+    g = Graph.from_edges(5, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
+    return init_state(g, Partition(k=2, assign=list(assign)))
+
+
+def _transfer(s, v, t):
+    """Apply the transfer of v to t and return it."""
+    tr = Transfer(v, s.partition.assign[v], t)
+    apply_single_transfer(s, v, t)
+    return tr
+
+
+def test_tracker_zero_gain_move_after_new_best_keeps_pre_move_assignment():
+    s = _path_state([0, 0, 0, 1, 0])  # f = 1
+    tr = tracker(s)
+    tr.note(s, _transfer(s, 1, 1))  # f 1 -> 3, a new best
+    tr.note(s, _transfer(s, 4, 1))  # gain 0
+    assert (s.f, tr.best_assign(s)) == (3, [0, 1, 0, 1, 0])
+    tr.note(s, _transfer(s, 4, 0))  # gain 0, back on the best partition
+    tr.note(s, _transfer(s, 3, 0))  # f 3 -> 2
+    assert (tr.f_best, tr.best_assign(s)) == (3, [0, 1, 0, 1, 0])
+
+
+def test_tracker_undoes_a_double_transfer_that_leaves_the_best():
+    s = _path_state([0, 0, 0, 1, 0])
+    tr = tracker(s)
+    tr.note(s, _transfer(s, 1, 1))  # f 1 -> 3, a new best
+    first = _transfer(s, 1, 0)
+    second = _transfer(s, 2, 1)
+    tr.note(s, first, second)  # f 3 -> 1
+    tr.note(s, _transfer(s, 0, 1))  # f 1 -> 2
+    assert s.partition.assign == [1, 0, 1, 1, 0]
+    assert (tr.f_best, tr.best_assign(s)) == (3, [0, 1, 0, 1, 0])
+
+
+def test_tracker_stop_on_an_improving_move_returns_the_current_state():
+    s = _path_state([0, 0, 0, 1, 0])
+    tr = _BestTracker(s, time_limit=5.0, target=3)
+    with pytest.raises(search._StopSearch):
+        tr.note(s, _transfer(s, 1, 1))
+    best = tr.best_assign(s)
+    assert (tr.f_best, best) == (3, [0, 1, 0, 1, 0])
+    assert best is not s.partition.assign
+
+
+def test_run_that_never_beats_its_initial_partition_returns_it():
+    # every partition of an edgeless graph has f = 0, so every move gains 0
+    g = Graph.from_edges(6, [])
+    params = make_params(max_rounds=3, omega=4, xi=1)
+    result = run_moh(g, params)
+    initial = random_initial(g, 2, random.Random(params.seed))
+    assert result.total_iterations > 0
+    assert result.trace == [(0.0, 0)]
+    assert result.best_partition.assign == initial.assign
