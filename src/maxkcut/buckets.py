@@ -98,21 +98,21 @@ class SearchState:
         self.gmax[i] = idx if idx >= 0 else 0
         return idx
 
-    def cells_descending(self, i: int) -> Iterator[tuple[int, Iterator[int]]]:
-        """(gain, members newest first) for each non-empty cell of B_i, top
-        cell first.  The state must not change while this is iterated."""
+    def cells_descending(self, i: int) -> Iterator[tuple[int, dict[int, None]]]:
+        """(gain, cell) for each non-empty cell of B_i, top cell first.  The
+        state must not change while this is iterated."""
         cells = self.cells[i]
         off = self.offset
         for idx in range(self._true_gmax(i), -1, -1):
             cell = cells[idx]
             if cell:
-                yield idx - off, reversed(cell)
+                yield idx - off, cell
 
     def descending(self, i: int) -> Iterator[tuple[int, int]]:
         """(vertex, gain) for every entry of B_i in non-increasing gain
         order, newest first within a cell."""
-        for gain, members in self.cells_descending(i):
-            for v in members:
+        for gain, cell in self.cells_descending(i):
+            for v in reversed(cell):
                 yield v, gain
 
 

@@ -58,6 +58,10 @@ class Graph:
         or a repeated vertex pair raises GraphFormatError carrying the index
         of the offending edge.
         """
+        try:
+            n = index(n)
+        except TypeError:
+            raise ValueError(f"vertex count {n!r} is not an integer") from None
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         edges = list(edges)

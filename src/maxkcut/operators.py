@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from copy import copy
 from dataclasses import dataclass
-from itertools import tee
+from itertools import filterfalse, islice, tee
 
 from .buckets import SearchState, apply_single_transfer, best_single_transfer
 from .tabu import TabuList
@@ -131,30 +131,37 @@ def op3_select(
 ) -> Move:
     """Best single transfer among moves that are not tabu or that aspirate
     (would strictly beat f_best).  Falls back to the unrestricted best move
-    when every candidate is tabu and none aspirates."""
+    when every candidate is tabu and none aspirates.  The live bans are
+    grouped by target once per call, so admissible members are counted."""
+    k = s.partition.k
+    bans: list[set[int]] = [set() for _ in range(k)]
+    for (v, t), exp in tabu.expiry.items():
+        if exp > s.iter:
+            bans[t].add(v)
     best: int | None = None
-    per_array: dict[int, list[int]] = {}
-    for i in range(s.partition.k):
-        for gain, members in s.cells_descending(i):
+    per_array: dict[int, tuple[int, dict[int, None], set[int]]] = {}
+    for i in range(k):
+        for gain, cell in s.cells_descending(i):
             if best is not None and gain < best:
                 break
-            admissible = [
-                v
-                for v in members
-                if not tabu.is_forbidden(v, i, s.iter) or s.f + gain > f_best
-            ]
-            if admissible:
+            skip = bans[i] if s.f + gain <= f_best else set()
+            count = len(cell) - len(cell.keys() & skip)
+            if count:
                 if best is None or gain > best:
                     best = gain
-                    per_array = {i: admissible}
+                    per_array = {i: (count, cell, skip)}
                 else:
-                    per_array[i] = admissible
+                    per_array[i] = (count, cell, skip)
                 break
     if best is None:
         v, t, gain = best_single_transfer(s, rng)
         return Move(gain=gain, first=Transfer(v, s.partition.assign[v], t))
     i = rng.choice(sorted(per_array))
-    v = rng.choice(per_array[i])
+    count, cell, skip = per_array[i]
+    # choice over a range draws the same _randbelow(count) as over a list;
+    # the drawn member is the j-th admissible one of the cell, newest first.
+    j = rng.choice(range(count))
+    v = next(islice(filterfalse(skip.__contains__, reversed(cell)), j, None))
     return Move(gain=best, first=Transfer(v, s.partition.assign[v], i))
 
 

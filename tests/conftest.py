@@ -13,9 +13,9 @@ from pathlib import Path
 
 import pytest
 
-from maxkcut.buckets import SearchState
+from maxkcut.buckets import SearchState, best_single_transfer
 from maxkcut.graph import Graph
-from maxkcut.operators import psi
+from maxkcut.operators import Move, Transfer, psi
 
 
 def random_graph(
@@ -59,6 +59,39 @@ def combined_gain(s: SearchState, u: int, t_u: int, v: int, t_v: int) -> int:
     c_u = s.partition.assign[u]
     c_v = s.partition.assign[v]
     return s.delta[u][t_u] + s.delta[v][t_v] + psi(c_u, c_v, t_u, t_v) * w_uv
+
+
+def reference_op3_select(s: SearchState, tabu, f_best: int, rng: random.Random) -> Move:
+    """O3 as first written: one tabu test per member of each array's top
+    admissible cell, read straight off s.cells.  operators.op3_select must
+    return the same move and leave rng in the same state."""
+    best: int | None = None
+    per_array: dict[int, list[int]] = {}
+    for i, cells in enumerate(s.cells):
+        for idx in range(len(cells) - 1, -1, -1):
+            if not cells[idx]:
+                continue
+            gain = idx - s.offset
+            if best is not None and gain < best:
+                break
+            admissible = [
+                v
+                for v in reversed(cells[idx])
+                if not tabu.is_forbidden(v, i, s.iter) or s.f + gain > f_best
+            ]
+            if admissible:
+                if best is None or gain > best:
+                    best = gain
+                    per_array = {i: admissible}
+                else:
+                    per_array[i] = admissible
+                break
+    if best is None:
+        v, t, gain = best_single_transfer(s, rng)
+        return Move(gain=gain, first=Transfer(v, s.partition.assign[v], t))
+    i = rng.choice(sorted(per_array))
+    v = rng.choice(per_array[i])
+    return Move(gain=best, first=Transfer(v, s.partition.assign[v], i))
 
 
 def bucket_snapshot(s: SearchState) -> dict[tuple[int, int], int]:

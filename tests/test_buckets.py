@@ -107,7 +107,9 @@ def test_cell_members_newest_first():
     assert list(reversed(s.cells[1][s.offset])) == [2, 1]
     apply_single_transfer(s, 0, 0)
     assert list(reversed(s.cells[1][s.offset])) == [0, 2, 1]
-    assert [(gain, list(vs)) for gain, vs in s.cells_descending(1)] == [(0, [0, 2, 1])]
+    assert [(gain, list(reversed(cell))) for gain, cell in s.cells_descending(1)] == [
+        (0, [0, 2, 1])
+    ]
     assert list(s.descending(1)) == [(0, 0), (2, 0), (1, 0)]
 
 

@@ -62,6 +62,17 @@ def test_from_edges_rejects_non_triples(edge):
     assert (err.value.reason, err.value.edge) == ("edge is not a (u, v, w) triple", 1)
 
 
+@pytest.mark.parametrize("n", [2.5, "3", None])
+def test_from_edges_rejects_non_integer_vertex_count(n):
+    with pytest.raises(ValueError, match=f"vertex count {n!r} is not an integer"):
+        Graph.from_edges(n, [])
+
+
+def test_from_edges_rejects_negative_vertex_count():
+    with pytest.raises(ValueError, match="vertex count must be nonnegative"):
+        Graph.from_edges(-1, [])
+
+
 def test_from_edges_accepts_integer_subclasses():
     g = Graph.from_edges(3, [(0, 1, True), (0, 2, 2)])
     assert g.edges == ((0, 1, 1), (0, 2, 2))

@@ -20,7 +20,7 @@ from maxkcut.operators import (
 from maxkcut.partition import Partition, evaluate
 from maxkcut.tabu import TabuList
 
-from conftest import brute_objective, combined_gain, random_graph
+from conftest import brute_objective, combined_gain, random_graph, reference_op3_select
 
 
 def psi_case_table(c_u, c_v, t_u, t_v):
@@ -270,6 +270,103 @@ def test_op3_never_picks_inadmissible():
         if admissible:
             assert (v, t) in admissible
             assert m.gain == max(admissible.values())
+
+
+def test_op3_trajectory_digest():
+    """Pins O3's exact moves and RNG use under tabu and aspiration.
+
+    Each of 300 seeded random states (n 2-60, k 2-5; about a third are k=2
+    graphs with +-1 weights, whose cells are large) starts with a random
+    tabu list of live and expired entries and runs eight op3_select calls
+    with f_best a few units either side of f, so aspiration both holds and
+    fails.  Each move is applied and its return ban recorded as the
+    diversified phase does.  The move and the RNG state after each call are
+    hashed, so a change in the move, the tie-break or the number of random
+    draws changes the digest.
+    """
+    rng = random.Random(1618)
+    h = hashlib.sha256()
+    for _ in range(300):
+        n = rng.randint(2, 60)
+        if rng.random() < 0.35:
+            k = 2
+            edges = [
+                (u, v, rng.choice((-1, 1)))
+                for u in range(n)
+                for v in range(u + 1, n)
+                if rng.random() < 0.1
+            ]
+        else:
+            k = rng.randint(2, min(5, n))
+            wmax = rng.randint(1, 10)
+            density = rng.choice([0.1, 0.3, 0.6])
+            edges = [
+                (u, v, rng.randint(-wmax, wmax))
+                for u in range(n)
+                for v in range(u + 1, n)
+                if rng.random() < density
+            ]
+        g = Graph.from_edges(n, edges)
+        s = init_state(g, Partition(k=k, assign=[rng.randrange(k) for _ in range(n)]))
+        tabu = TabuList(n)
+        for _ in range(rng.randint(0, n)):
+            tabu.expiry[(rng.randrange(n), rng.randrange(k))] = rng.randint(-4, 12)
+        op_rng = random.Random(rng.randrange(2**32))
+        for _ in range(8):
+            f_best = s.f + rng.randint(-4, 4)
+            m = op3_select(s, tabu, f_best, op_rng)
+            h.update(repr((m, op_rng.getstate())).encode())
+            apply_move(s, m)
+            tabu.record(m.first.vertex, m.first.origin, s.iter, op_rng)
+    assert h.hexdigest() == (
+        "d4dc0693d891190e418ff202216a6f8f1675cf6cb37798883e38e3e220178657"
+    )
+
+
+def test_op3_matches_reference_on_large_cells():
+    """O3 returns the reference's move and leaves the RNG where it does.
+
+    States are k=2, n 400-600, m = n edges of weight +-1, after a descent,
+    so the top cells hold hundreds of vertices.  20-200 live bans (and some
+    expired ones) sit inside the top cells of both arrays, so the drawn
+    member often lies past banned ones in the cell; the test counts those
+    draws and requires them to occur.
+    """
+    rng = random.Random(8128)
+    past_bans = 0
+    for _ in range(12):
+        n = rng.randint(400, 600)
+        pairs = {tuple(sorted(rng.sample(range(n), 2))) for _ in range(n)}
+        g = Graph.from_edges(n, [(u, v, rng.choice((-1, 1))) for u, v in sorted(pairs)])
+        s = init_state(g, Partition(k=2, assign=[rng.randrange(2) for _ in range(n)]))
+        while (m := op1_select(s, rng)) is not None:
+            apply_move(s, m)
+        tabu = TabuList(n)
+        top = [
+            (v, i)
+            for i in range(2)
+            for _, cell in itertools.islice(s.cells_descending(i), 2)
+            for v in cell
+        ]
+        for v, i in rng.sample(top, min(len(top), rng.randint(20, 200))):
+            tabu.expiry[(v, i)] = s.iter + rng.randint(-3, 30)
+        for _ in range(40):
+            f_best = s.f + rng.randint(-2, 2)
+            seed = rng.randrange(2**32)
+            ref_rng, op_rng = random.Random(seed), random.Random(seed)
+            expected = reference_op3_select(s, tabu, f_best, ref_rng)
+            m = op3_select(s, tabu, f_best, op_rng)
+            assert m == expected
+            assert op_rng.getstate() == ref_rng.getstate()
+            v, t = m.first.vertex, m.first.target
+            if s.f + m.gain <= f_best:
+                ahead = itertools.takewhile(
+                    lambda u: u != v, reversed(s.cells[t][m.gain + s.offset])
+                )
+                past_bans += any(tabu.is_forbidden(u, t, s.iter) for u in ahead)
+            apply_move(s, m)
+            tabu.record(v, m.first.origin, s.iter, op_rng)
+    assert past_bans >= 20
 
 
 def brute_best_o4(s, p, q):
