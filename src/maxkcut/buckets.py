@@ -7,8 +7,8 @@ vertices outside S_i whose gain for moving into S_i currently equals
 ``gain``.  Every gain change deletes the vertex from its cell and re-inserts
 it, so a cell read backwards lists its members by last arrival, newest
 first.  A per-array top marker (gmax) is raised eagerly on insertion and
-lowered lazily on queries.  Only this module knows the cell layout; the
-selectors read it through cells_descending/descending.
+lowered lazily on queries.  The selectors walk the cells through
+cells_descending/descending; O3 also reads a cell's members directly.
 """
 
 from __future__ import annotations
@@ -191,19 +191,17 @@ def best_single_transfer(s: SearchState, rng: random.Random) -> tuple[int, int, 
     gain, then uniformly within that bucket cell.
     """
     k = s.partition.k
-    best = None
+    # Cell 0 is the lowest cell, and an empty array's top is -1, so it never
+    # ties.  With k >= 2 every vertex lies in some array, so tied fills.
+    best = 0
     tied: list[int] = []
     for i in range(k):
         idx = s._true_gmax(i)
-        if idx < 0:
-            continue
-        if best is None or idx > best:
+        if idx > best:
             best = idx
             tied = [i]
         elif idx == best:
             tied.append(i)
-    if best is None:
-        raise ValueError("no single-transfer move exists (k subsets cover nothing)")
     i = rng.choice(tied)
     v = rng.choice(list(reversed(s.cells[i][best])))
     return v, i, best - s.offset

@@ -127,14 +127,16 @@ def cmd_bench(args) -> int:
         raise InputError("--jobs must be >= 1")
     # The grid is instance x strategy x rho.  Every instance is parsed once
     # and every run's parameters are checked before the first run, so a bad
-    # input fails the bench as a whole.
+    # input fails the bench as a whole.  Repeated list flags extend one list.
+    strategies = args.strategy or [SearchParams.descent_strategy]
+    rhos = args.rho or [SearchParams.rho]
     cells = []
     run_graphs: list[Graph] = []
     run_params: list[SearchParams] = []
     for path in args.instance:
         g = _load_instance(path)
-        for strategy in args.strategy:
-            for rho in args.rho:
+        for strategy in strategies:
+            for rho in rhos:
                 cells.append((Path(path).name, g, strategy, rho))
                 for r in range(args.runs):
                     run_graphs.append(g)
@@ -252,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--k", type=int, default=2,
                        help="number of subsets (default %(default)s)")
         p.add_argument("--omega", type=int, default=SearchParams.omega,
-                       help="max diversified moves per phase (default %(default)s)")
+                       help="a diversified phase makes <= omega + 1 moves (default %(default)s)")
         p.add_argument("--xi", type=int, default=SearchParams.xi,
                        help="non-improving rounds before a perturbation (default %(default)s)")
         p.add_argument("--gamma-fraction", type=float, default=SearchParams.gamma_fraction,
@@ -280,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.set_defaults(func=cmd_solve)
 
     p_bench = sub.add_parser("bench", help="seeded multi-run benchmark harness")
-    p_bench.add_argument("--instance", nargs="+", required=True, metavar="PATH")
+    p_bench.add_argument("--instance", nargs="+", action="extend", required=True, metavar="PATH")
     p_bench.add_argument("--runs", type=int, default=10,
                          help="seeded runs per row (default %(default)s)")
     p_bench.add_argument("--base-seed", type=int, default=SearchParams.seed,
@@ -288,13 +290,12 @@ def build_parser() -> argparse.ArgumentParser:
                          "(default %(default)s)")
     p_bench.add_argument("--jobs", type=int, default=1,
                          help="worker processes (default %(default)s)")
-    p_bench.add_argument("--rho", type=_numbers, default=[SearchParams.rho],
-                         help="comma-separated O3 probabilities, one row each "
+    p_bench.add_argument("--rho", type=_numbers, action="extend",
+                         help="comma-separated O3 probabilities, one row each; repeatable "
                          f"(default {SearchParams.rho})")
-    p_bench.add_argument("--strategy", type=lambda text: text.split(","),
-                         default=[SearchParams.descent_strategy],
+    p_bench.add_argument("--strategy", type=lambda text: text.split(","), action="extend",
                          help="comma-separated descent strategies "
-                         f"out of {', '.join(DESCENT_STRATEGIES)}, one row each "
+                         f"out of {', '.join(DESCENT_STRATEGIES)}, one row each; repeatable "
                          f"(default {SearchParams.descent_strategy})")
     p_bench.add_argument("--out", default=None, help="CSV output path (default stdout)")
     add_search_flags(p_bench)

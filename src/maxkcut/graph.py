@@ -122,12 +122,9 @@ def parse_instance(text: str) -> Graph:
             break
     if header_line is None:
         raise GraphFormatError("empty input, expected 'n m' header")
-    parts = lines[header_line].split()
-    if len(parts) != 2:
-        raise GraphFormatError("malformed header, expected 'n m'", header_line + 1)
     try:
-        n, m = int(parts[0]), int(parts[1])
-    except ValueError:
+        n, m = map(int, lines[header_line].split())
+    except ValueError:  # a token that is no integer, or not two tokens
         raise GraphFormatError("malformed header, expected 'n m'", header_line + 1) from None
     if n < 0 or m < 0:
         raise GraphFormatError("negative count in header", header_line + 1)

@@ -9,6 +9,7 @@ O5: one uniformly random single transfer.
 
 from __future__ import annotations
 
+import math
 import random
 from copy import copy
 from dataclasses import dataclass
@@ -89,8 +90,6 @@ def op2_select(
     delta = s.delta
     k = s.partition.k
     candidates = s.graph.nonzero_edges
-    if not candidates:
-        return None
     if max_edges is not None and max_edges < len(candidates):
         candidates = rng.sample(candidates, max_edges)
     blocks: dict[tuple[int, int], list[list[int]]] = {}
@@ -138,22 +137,22 @@ def op3_select(
     for (v, t), exp in tabu.expiry.items():
         if exp > s.iter:
             bans[t].add(v)
-    best: int | None = None
+    best = -math.inf
     per_array: dict[int, tuple[int, dict[int, None], set[int]]] = {}
     for i in range(k):
         for gain, cell in s.cells_descending(i):
-            if best is not None and gain < best:
+            if gain < best:
                 break
             skip = bans[i] if s.f + gain <= f_best else set()
             count = len(cell) - len(cell.keys() & skip)
             if count:
-                if best is None or gain > best:
+                if gain > best:
                     best = gain
                     per_array = {i: (count, cell, skip)}
                 else:
                     per_array[i] = (count, cell, skip)
                 break
-    if best is None:
+    if not per_array:
         v, t, gain = best_single_transfer(s, rng)
         return Move(gain=gain, first=Transfer(v, s.partition.assign[v], t))
     i = rng.choice(sorted(per_array))
@@ -185,7 +184,7 @@ def op4_select(s: SearchState, rng: random.Random) -> Move | None:
     k = s.partition.k
     p, q = rng.sample(range(k), 2)
 
-    best: int | None = None
+    best = -math.inf  # no candidate yet: every bound below holds until one is met
     choice: tuple[int, int] | None = None
     tie_count = 0
     tie_budget = _O4_TIE_BUDGET
@@ -202,15 +201,14 @@ def op4_select(s: SearchState, rng: random.Random) -> Move | None:
     # Non-adjacent pairs: for each u from the top of p, partners from the top
     # of q; sums only decrease, so each inner scan stops at the incumbent.
     for u, gu in s.descending(p):
-        if best is not None:
-            if gu + gq_top < best:
-                break
-            if gu + gq_top == best and tie_budget <= 0:
-                break
+        if gu + gq_top < best:
+            break
+        if gu + gq_top == best and tie_budget <= 0:
+            break
         nu = None
         for v, gv in copy(scan_q):
             gain = gu + gv
-            if best is not None and gain < best:
+            if gain < best:
                 break
             if v == u:
                 continue
@@ -218,7 +216,7 @@ def op4_select(s: SearchState, rng: random.Random) -> Move | None:
                 nu = set(nb for nb, _ in adjacency[u])
             if v in nu:
                 continue
-            if best is None or gain > best:
+            if gain > best:
                 best = gain
                 choice = (u, v)
                 tie_count = 1
@@ -246,26 +244,24 @@ def op4_select(s: SearchState, rng: random.Random) -> Move | None:
         if not neighbours:
             continue
         cu = assign[u]
+        if gu + gq_top + two_w < best:
+            break
         bound = two_w if cu == q else max_w
-        v_floor = None
-        if best is not None:
-            if gu + gq_top + two_w < best:
-                break
-            v_floor = best - gu - bound
-            if v_floor > gq_top:
-                continue
+        v_floor = best - gu - bound
+        if v_floor > gq_top:
+            continue
         for v, w in neighbours:
             cv = assign[v]
             if cv == q:
                 continue
             dvq = delta[v][q]
-            if v_floor is not None and dvq < v_floor:
+            if dvq < v_floor:
                 continue
             coef = coefs.get((cu, cv))
             if coef is None:
                 coef = coefs[cu, cv] = psi(cu, cv, p, q)
             gain = gu + dvq + coef * w
-            if best is None or gain > best:
+            if gain > best:
                 best = gain
                 choice = (u, v)
                 tie_count = 1

@@ -57,7 +57,7 @@ class ValidationReport:
 
 
 def validate(g: Graph, p: Partition) -> ValidationReport:
-    """Check k >= 2, assignment length and subset range.
+    """Check 2 <= k <= n, assignment length and subset range.
 
     Empty subsets are reported as warnings, not errors: single-transfer moves
     may legitimately empty a subset during search.
@@ -65,6 +65,9 @@ def validate(g: Graph, p: Partition) -> ValidationReport:
     report = ValidationReport()
     if p.k < 2:
         report.errors.append(f"k must be >= 2, got k={p.k}")
+        return report
+    if p.k > g.n:
+        report.errors.append(f"k must satisfy 2 <= k <= n={g.n}")
         return report
     if len(p.assign) != g.n:
         report.errors.append(f"assignment length {len(p.assign)} != n={g.n}")

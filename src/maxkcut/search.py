@@ -37,14 +37,14 @@ def default_time_limit(n: int) -> float:
 @dataclass
 class SearchParams:
     k: int
-    omega: int = 500  # max diversified moves per phase
+    omega: int = 500  # a diversified phase ends after at most omega + 1 moves
     xi: int = 1000  # non-improving rounds before perturbation
     rho: float = 0.5  # probability of O3 in the diversified phase
     gamma_fraction: float = 0.1  # perturbation strength as fraction of n
     phi: float | None = None  # O2 edge-sampling fraction; None = 0.1/d, 1 = all
     time_limit: float | None = None  # seconds; None = default_time_limit(n)
     target_objective: int | None = None
-    max_rounds: int | None = None  # deterministic stop for tests
+    max_rounds: int | None = None  # stop after this many rounds; None = no limit
     seed: int = 0
     descent_strategy: str = "sequential"
 
@@ -105,7 +105,7 @@ class _BestTracker:
         self._at_best = True
         self.t0 = time.perf_counter()
         self.time_limit = time_limit
-        self.target = target
+        self.target = math.inf if target is None else target
         self.trace: list[tuple[float, int]] = [(0.0, s.f)]
         self._countdown = TIME_CHECK_STRIDE
 
@@ -115,7 +115,7 @@ class _BestTracker:
             self.f_best = s.f
             self._at_best = True
             self.trace.append((time.perf_counter() - self.t0, s.f))
-            if self.target is not None and self.f_best >= self.target:
+            if self.f_best >= self.target:
                 raise _StopSearch
         elif self._at_best:
             best = self._best_assign = list(s.partition.assign)
@@ -134,7 +134,7 @@ class _BestTracker:
 
     def check_stop(self) -> None:
         """Raise _StopSearch once the target is reached or the budget spent."""
-        if self.target is not None and self.f_best >= self.target:
+        if self.f_best >= self.target:
             raise _StopSearch
         if time.perf_counter() - self.t0 >= self.time_limit:
             raise _StopSearch
@@ -194,27 +194,25 @@ def diversified_phase(
     tracker: _BestTracker,
 ) -> None:
     """Tabu-guided O3/O4 moves until a solution better than the entry local
-    optimum is found or omega moves have been made.  The tabu list is
-    cleared on exit."""
+    optimum is found or omega + 1 moves have been made.  The tabu list is
+    cleared when the phase ends; a stop of the search leaves it as it is."""
     c_div = 0
-    try:
-        while True:
-            if rng.random() < params.rho:
+    while True:
+        if rng.random() < params.rho:
+            move = op3_select(s, tabu, tracker.f_best, rng)
+        else:
+            move = op4_select(s, rng)
+            if move is None:
                 move = op3_select(s, tabu, tracker.f_best, rng)
-            else:
-                move = op4_select(s, rng)
-                if move is None:
-                    move = op3_select(s, tabu, tracker.f_best, rng)
-            apply_move(s, move)
-            for tr in (move.first, move.second):
-                if tr is not None:
-                    tabu.record(tr.vertex, tr.origin, s.iter, rng)
-            tracker.note(s, move.first, move.second)
-            c_div += 1
-            if c_div > params.omega or s.f > f_lo:
-                return
-    finally:
-        tabu.clear()
+        apply_move(s, move)
+        for tr in (move.first, move.second):
+            if tr is not None:
+                tabu.record(tr.vertex, tr.origin, s.iter, rng)
+        tracker.note(s, move.first, move.second)
+        c_div += 1
+        if c_div > params.omega or s.f > f_lo:
+            tabu.clear()
+            return
 
 
 def perturb(
@@ -239,6 +237,7 @@ def run_moh(g: Graph, params: SearchParams) -> SearchResult:
     s = init_state(g, p)
     tabu = TabuList(g.n)
     time_limit = default_time_limit(g.n) if params.time_limit is None else params.time_limit
+    max_rounds = math.inf if params.max_rounds is None else params.max_rounds
     tracker = _BestTracker(s, time_limit, params.target_objective)
     rounds = 0
     perturbations = 0
@@ -259,7 +258,7 @@ def run_moh(g: Graph, params: SearchParams) -> SearchResult:
                 perturb(s, params, rng, tracker)
                 perturbations += 1
                 c_non_impv = 0
-            if params.max_rounds is not None and rounds >= params.max_rounds:
+            if rounds >= max_rounds:
                 break
     except _StopSearch:
         pass

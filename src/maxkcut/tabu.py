@@ -3,6 +3,7 @@ with dynamic tenure drawn from [3, max(3, n // 10)]."""
 
 from __future__ import annotations
 
+import math
 import random
 
 
@@ -23,8 +24,7 @@ class TabuList:
         self.expiry[(v, origin)] = iteration + tenure
 
     def is_forbidden(self, v: int, target: int, iteration: int) -> bool:
-        exp = self.expiry.get((v, target))
-        return exp is not None and exp > iteration
+        return self.expiry.get((v, target), -math.inf) > iteration
 
     def clear(self) -> None:
         self.expiry.clear()

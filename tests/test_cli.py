@@ -10,7 +10,7 @@ import pytest
 from maxkcut.cli import build_parser, main
 
 from conftest import random_graph
-from maxkcut.graph import write_instance
+from maxkcut.graph import Graph, write_instance
 
 TRIANGLE = "3 3\n1 2 1\n1 3 2\n2 3 3\n"
 
@@ -109,6 +109,61 @@ def test_check_empty_subset_warning(tri_path, tmp_path, capsys):
     assert "empty subset" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("name,payload,flags", [
+    ("k-huge.json", '{"instance":"tri","k":1000000,"objective":5,"assign":[0,0,1]}', []),
+    ("k4.txt", "0\n0\n1\n", ["--k", "4"]),
+], ids=["json-k-million", "text-k4"])
+def test_check_k_above_n_is_input_error(tri_path, tmp_path, capsys, name, payload, flags):
+    sol = tmp_path / name
+    sol.write_text(payload)
+    rc = main(["check", "--instance", str(tri_path), "--solution", str(sol), *flags])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "error: k must satisfy 2 <= k <= n=3" in captured.err
+    assert captured.out == ""
+
+
+def test_solve_text_solution_then_check_with_k(tri_path, tmp_path, capsys):
+    sol = tmp_path / "tri.txt.sol"
+    rc = main(["solve", "--instance", str(tri_path), "--k", "2", "--time-limit", "1",
+               "--target", "5", "--solution-format", "text", "--solution-out", str(sol)])
+    assert rc == 0
+    assert len(sol.read_text().split()) == 3  # one subset id a line
+    capsys.readouterr()
+    # no --objective: nothing is claimed, so check reports the recomputed value
+    rc = main(["check", "--instance", str(tri_path), "--solution", str(sol), "--k", "2"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert out.splitlines() == ["objective: 5", "PASS (no claimed value to compare)"]
+
+
+def test_check_text_solution_without_k_is_input_error(tri_path, tmp_path, capsys):
+    sol = tmp_path / "sol.txt"
+    sol.write_text("0\n0\n1\n")
+    rc = main(["check", "--instance", str(tri_path), "--solution", str(sol)])
+    assert rc == 1
+    assert "error: plain-text solutions need --k" in capsys.readouterr().err
+
+
+def test_check_unreadable_solution_is_input_error(tri_path, tmp_path, capsys):
+    sol = tmp_path / "missing.json"
+    rc = main(["check", "--instance", str(tri_path), "--solution", str(sol)])
+    assert rc == 1
+    assert f"error: cannot read solution {sol}" in capsys.readouterr().err
+
+
+def test_internal_error_exits_2(tri_path, capsys, monkeypatch):
+    import maxkcut.cli
+
+    def broken(g, params):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(maxkcut.cli, "run_moh", broken)
+    rc = main(["solve", "--instance", str(tri_path), "--k", "2", "--time-limit", "1"])
+    assert rc == 2
+    assert "internal error: boom" in capsys.readouterr().err
+
+
 def test_oracle_triangle(tri_path, capsys):
     assert main(["oracle", "--instance", str(tri_path), "--k", "2"]) == 0
     assert "optimum: 5" in capsys.readouterr().out
@@ -200,6 +255,17 @@ def test_check_flags_agreeing_with_json_pass(tri_path, tmp_path, capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+def test_oracle_force_passes_the_guard(tmp_path, capsys):
+    # k = 5 is above the guard's k <= 4; K5 with unit weights cuts every edge
+    path = tmp_path / "k5.txt"
+    path.write_text(write_instance(Graph.from_edges(
+        5, [(u, v, 1) for u in range(5) for v in range(u + 1, 5)])))
+    assert main(["oracle", "--instance", str(path), "--k", "5"]) == 1
+    assert "--force" in capsys.readouterr().err
+    assert main(["oracle", "--instance", str(path), "--k", "5", "--force"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["optimum: 10", "assign: 0 1 2 3 4"]
+
+
 def test_oracle_k_below_two_is_input_error(tri_path, capsys):
     rc = main(["oracle", "--instance", str(tri_path), "--k", "1"])
     assert rc == 1
@@ -254,6 +320,32 @@ def test_bench_rho_ablation_rows(tri_path, tmp_path):
     lines = out.read_text().splitlines()[1:]
     rhos = [line.split(",")[5] for line in lines]
     assert rhos == ["0", "0.5", "1"]
+
+
+def test_bench_repeated_list_flags_accumulate(tri_path, tmp_path):
+    p4 = tmp_path / "p4.txt"
+    p4.write_text("4 3\n1 2 1\n2 3 1\n3 4 1\n")
+    out = tmp_path / "grid.csv"
+    rc = main(["bench", "--instance", str(tri_path), "--instance", str(p4),
+               "--strategy", "union", "--strategy", "o1_only", "--rho", "0", "--rho", "1",
+               "--runs", "1", "--time-limit", "0.05", "--out", str(out)])
+    assert rc == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [(row[0], row[4], row[5]) for row in rows] == [
+        (name, strategy, rho)
+        for name in ("tri.txt", "p4.txt")
+        for strategy in ("union", "o1_only")
+        for rho in ("0", "1")
+    ]
+
+
+def test_bench_writes_csv_to_stdout_without_out(tri_path, capsys):
+    rc = main(["bench", "--instance", str(tri_path), "--runs", "1", "--time-limit", "0.05"])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 0
+    assert lines[0].startswith("instance,n,m,k,strategy,rho,")
+    assert [line.split(",")[:6] for line in lines[1:]] == [
+        ["tri.txt", "3", "3", "2", "sequential", "0.5"]]
 
 
 def test_bench_reported_best_passes_check(tri_path, tmp_path, capsys):

@@ -97,6 +97,20 @@ def test_malformed_header():
         parse_instance("3")
 
 
+@pytest.mark.parametrize("text,message", [
+    ("", "empty input"),
+    ("\n  \n", "empty input"),
+    ("3 x\n", "malformed header, expected 'n m' at line 1"),
+    ("\n3 -1\n", "negative count in header at line 2"),
+    ("3 1\n1 2\n", "malformed edge, expected 'u v w' at line 2"),
+    ("3 1\n1 2 1 4\n", "malformed edge, expected 'u v w' at line 2"),
+], ids=["empty", "blank", "header-non-integer", "header-negative",
+        "edge-two-fields", "edge-four-fields"])
+def test_parse_rejects_malformed_text(text, message):
+    with pytest.raises(GraphFormatError, match=message):
+        parse_instance(text)
+
+
 def test_negative_weights_allowed():
     g = parse_instance("2 1\n1 2 -7")
     assert g.edges == ((0, 1, -7),)

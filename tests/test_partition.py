@@ -75,6 +75,13 @@ def test_validate_k_below_two(triangle, k):
     assert report.errors == [f"k must be >= 2, got k={k}"]
 
 
+def test_validate_k_above_n(triangle):
+    # rejected before any per-subset work: no count array, no warning per subset
+    report = validate(triangle, Partition(k=10**6, assign=[0, 0, 1]))
+    assert report.errors == ["k must satisfy 2 <= k <= n=3"]
+    assert not report.ok and not report.warnings
+
+
 @pytest.mark.parametrize("field,value", [
     ("k", 2.0), ("k", True), ("objective", "5"), ("assign", [0, 0, 1.0]),
     ("assign", [0, 0, True]),

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 import random
@@ -215,6 +216,9 @@ def test_run_invalid_params(triangle):
     for name in ("omega", "xi"):
         with pytest.raises(ValueError, match=name):
             run_moh(triangle, make_params(**{name: math.nan}, max_rounds=1))
+    for fraction in (0.0, 1.5):
+        with pytest.raises(ValueError, match=r"gamma_fraction must be in \(0, 1\]"):
+            make_params(gamma_fraction=fraction).check(triangle)
 
 
 @pytest.mark.parametrize("n,seconds", [(4999, 1800.0), (5000, 7200.0), (9999, 7200.0),
@@ -339,7 +343,10 @@ def _digest_case(k, strategy):
     return g, params
 
 
-def _move_digest(monkeypatch, k, strategy):
+@functools.cache
+def _digest_run(k, strategy):
+    """One search of a digest case, shared by the move and best-partition
+    digest tests: (move digest, f_best, total_iterations, best digest)."""
     import maxkcut.operators as operators
 
     moves = []
@@ -349,16 +356,18 @@ def _move_digest(monkeypatch, k, strategy):
         moves.append(f"{v}:{t}")
         return apply(s, v, t)
 
-    monkeypatch.setattr(operators, "apply_single_transfer", record)
-    result = run_moh(*_digest_case(k, strategy))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(operators, "apply_single_transfer", record)
+        result = run_moh(*_digest_case(k, strategy))
     digest = hashlib.sha256(",".join(moves).encode()).hexdigest()
-    return digest, result.f_best, result.total_iterations
+    best = hashlib.sha256(bytes(result.best_partition.assign)).hexdigest()
+    return digest, result.f_best, result.total_iterations, best
 
 
 @pytest.mark.parametrize("strategy", ["sequential", "o1_only", "union", "random_mix"])
 @pytest.mark.parametrize("k", [2, 3, 4])
-def test_move_sequence_digest(monkeypatch, k, strategy):
-    assert _move_digest(monkeypatch, k, strategy) == MOVE_DIGESTS[(k, strategy)]
+def test_move_sequence_digest(k, strategy):
+    assert _digest_run(k, strategy)[:3] == MOVE_DIGESTS[(k, strategy)]
 
 
 # SHA-256 of best_partition.assign (one byte a vertex) for the MOVE_DIGESTS
@@ -383,9 +392,7 @@ BEST_DIGESTS = {
 @pytest.mark.parametrize("strategy", ["sequential", "o1_only", "union", "random_mix"])
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_best_partition_digest(k, strategy):
-    result = run_moh(*_digest_case(k, strategy))
-    digest = hashlib.sha256(bytes(result.best_partition.assign)).hexdigest()
-    assert digest == BEST_DIGESTS[(k, strategy)]
+    assert _digest_run(k, strategy)[3] == BEST_DIGESTS[(k, strategy)]
 
 
 # _BestTracker copies the best partition only when a move leaves it.  On the
