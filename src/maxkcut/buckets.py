@@ -8,7 +8,7 @@ vertices outside S_i whose gain for moving into S_i currently equals
 it, so a cell read backwards lists its members by last arrival, newest
 first.  A per-array top marker (gmax) is raised eagerly on insertion and
 lowered lazily on queries.  The selectors walk the cells through
-cells_descending/descending; O3 also reads a cell's members directly.
+cells_descending/descending; O3 and O4 also read a cell's members directly.
 """
 
 from __future__ import annotations

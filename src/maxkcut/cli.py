@@ -68,6 +68,7 @@ def _params_from_args(g: Graph, args, seed: int, rho: float, strategy: str) -> S
         phi=args.phi,
         time_limit=args.time_limit,
         target_objective=getattr(args, "target", None),
+        max_rounds=args.max_rounds,
         seed=seed,
         descent_strategy=strategy,
     )
@@ -263,6 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="O2 edge-sampling fraction (default 1/(10*max_degree))")
         p.add_argument("--time-limit", type=float, default=SearchParams.time_limit,
                        help="seconds; default tiers by instance size")
+        p.add_argument("--max-rounds", type=int, default=SearchParams.max_rounds,
+                       help="stop after this many rounds (default: no limit)")
 
     p_solve = sub.add_parser("solve", help="run the search once on an instance")
     p_solve.add_argument("--instance", required=True)

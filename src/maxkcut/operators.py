@@ -93,6 +93,8 @@ def op2_select(
     if max_edges is not None and max_edges < len(candidates):
         candidates = rng.sample(candidates, max_edges)
     blocks: dict[tuple[int, int], list[list[int]]] = {}
+    # targets[c]: the subsets other than c, ascending, so ties keep their order.
+    targets = [[t for t in range(k) if t != c] for c in range(k)]
     best_gain = 0
     ties: list[tuple[int, int, int, int]] = []
     for u, v, w in candidates:
@@ -101,19 +103,18 @@ def op2_select(
         coef_uv = blocks.get((cu, cv))
         if coef_uv is None:
             coef_uv = blocks[cu, cv] = _psi_block(k, cu, cv)
-        for tu in range(k):
-            if tu == cu:
-                continue
+        targets_v = targets[cv]
+        for tu in targets[cu]:
             du = urow[tu]
             coef_tu = coef_uv[tu]
-            for tv in range(k):
-                if tv == cv:
-                    continue
+            for tv in targets_v:
                 gain = du + vrow[tv] + coef_tu[tv] * w
+                if gain < best_gain:
+                    continue
                 if gain > best_gain:
                     best_gain = gain
                     ties = [(u, tu, v, tv)]
-                elif gain == best_gain and best_gain > 0:
+                elif best_gain > 0:
                     ties.append((u, tu, v, tv))
     if not ties:
         return None
@@ -176,8 +177,9 @@ def op4_select(s: SearchState, rng: random.Random) -> Move | None:
     Bucket-ordered scans of arrays p and q.  An adjacent pair's combined
     gain is at most gain(u) + gain(v) + 2*max|w| when u is in S_q (the swap
     case, psi = 2) and gain(u) + gain(v) + max|w| for every other u; pairs
-    whose bound is below the incumbent are skipped.  Ties are resolved by
-    reservoir sampling over the scanned candidates.
+    whose bound is below the incumbent are skipped, and a cell of B_p whose
+    partners in B_q are fewer than its members is read from their side.
+    Ties are resolved by reservoir sampling over the scanned candidates.
     """
     assign = s.partition.assign
     delta = s.delta
@@ -231,45 +233,72 @@ def op4_select(s: SearchState, rng: random.Random) -> Move | None:
     # Adjacent pairs: psi(c_u, c_v, p, q) = -[c_u=c_v] + [c_v=p] + [c_u=q]
     # with c_u != p, so psi*w can exceed max|w| only in the swap case
     # c_u = q, c_v = p, where it is at most 2*max|w|.  That per-u bound
-    # floors the admissible delta[v][q]; a u whose floor is above the top of
-    # B_q is skipped, and the scan ends once even 2*max|w| cannot reach the
-    # incumbent.  Skipped pairs are strictly below it, so they would have
-    # drawn no random number.
+    # floors the admissible delta[v][q] at f_swap (swap) or f_other; a u
+    # whose floor is above the top of B_q is skipped, and the scan ends once
+    # even 2*max|w| cannot reach the incumbent.  Skipped pairs are strictly
+    # below it, so they would have drawn no random number.
     max_w = s.graph.max_abs_weight
     two_w = 2 * max_w
     # psi(c_u, c_v, p, q) per origin pair, filled as pairs are met.
     coefs: dict[tuple[int, int], int] = {}
-    for u, gu in s.descending(p):
-        neighbours = adjacency[u]
-        if not neighbours:
-            continue
-        cu = assign[u]
+    # Each copy of scan_cells_q rereads B_q's cells from the top, as scan_q
+    # does its entries.  The floors only rise from one B_p cell to the next,
+    # so B_q is read about as far as the first cell's partners reach.
+    (scan_cells_q,) = tee(s.cells_descending(q), 1)
+    for gu, cell in s.cells_descending(p):
         if gu + gq_top + two_w < best:
             break
-        bound = two_w if cu == q else max_w
-        v_floor = best - gu - bound
-        if v_floor > gq_top:
-            continue
-        for v, w in neighbours:
-            cv = assign[v]
-            if cv == q:
+        f_swap = best - gu - two_w
+        f_other = best - gu - max_w
+        # Partners: the members of B_q with gain >= f_swap, a prefix of B_q.
+        # Every u of this cell has a floor >= f_swap while best only rises,
+        # so a u with no partner neighbour meets no pair.  When the partners
+        # are fewer than the cell's members, the cell is read from their side.
+        partners: list[dict[int, None]] = []
+        count = 0
+        for gv, q_cell in copy(scan_cells_q):
+            if gv < f_swap or count >= len(cell):
+                break
+            partners.append(q_cell)
+            count += len(q_cell)
+        members = reversed(cell)
+        if count < len(cell):
+            found = {
+                u for q_cell in partners for v in q_cell for u, _ in adjacency[v] if u in cell
+            }
+            if not found:
                 continue
-            dvq = delta[v][q]
-            if dvq < v_floor:
+            members = [u for u in members if u in found]
+        for u in members:
+            neighbours = adjacency[u]
+            if not neighbours:
                 continue
-            coef = coefs.get((cu, cv))
-            if coef is None:
-                coef = coefs[cu, cv] = psi(cu, cv, p, q)
-            gain = gu + dvq + coef * w
-            if gain > best:
-                best = gain
-                choice = (u, v)
-                tie_count = 1
-                v_floor = best - gu - bound
-            elif gain == best:
-                tie_count += 1
-                if rng.random() * tie_count < 1.0:
+            cu = assign[u]
+            v_floor = f_swap if cu == q else f_other
+            if v_floor > gq_top:
+                continue
+            for v, w in neighbours:
+                cv = assign[v]
+                if cv == q:
+                    continue
+                dvq = delta[v][q]
+                if dvq < v_floor:
+                    continue
+                coef = coefs.get((cu, cv))
+                if coef is None:
+                    coef = coefs[cu, cv] = psi(cu, cv, p, q)
+                gain = gu + dvq + coef * w
+                if gain > best:
+                    best = gain
                     choice = (u, v)
+                    tie_count = 1
+                    f_swap = best - gu - two_w
+                    f_other = best - gu - max_w
+                    v_floor = f_swap if cu == q else f_other
+                elif gain == best:
+                    tie_count += 1
+                    if rng.random() * tie_count < 1.0:
+                        choice = (u, v)
 
     if choice is None:
         return None

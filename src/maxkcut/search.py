@@ -7,6 +7,7 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
+from operator import index
 
 from .buckets import SearchState, check_bucket_cells, init_state
 from .graph import Graph
@@ -49,7 +50,14 @@ class SearchParams:
     descent_strategy: str = "sequential"
 
     def check(self, g: Graph) -> None:
-        """Raise ValueError unless these parameters fit a run on g."""
+        """Raise ValueError unless these parameters fit a run on g.  The
+        counts k, omega, xi and max_rounds are converted to int."""
+        counts = ("k", "omega", "xi") + ("max_rounds",) * (self.max_rounds is not None)
+        for name in counts:
+            try:
+                setattr(self, name, index(getattr(self, name)))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer") from None
         if not (2 <= self.k <= g.n):
             raise ValueError(f"k must satisfy 2 <= k <= n={g.n}")
         check_bucket_cells(g, self.k)

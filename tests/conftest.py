@@ -7,15 +7,18 @@ are used to check.
 
 from __future__ import annotations
 
+import math
 import os
 import random
+from copy import copy
+from itertools import tee
 from pathlib import Path
 
 import pytest
 
 from maxkcut.buckets import SearchState, best_single_transfer
 from maxkcut.graph import Graph
-from maxkcut.operators import Move, Transfer, psi
+from maxkcut.operators import _O4_TIE_BUDGET, Move, Transfer, psi
 
 
 def random_graph(
@@ -92,6 +95,123 @@ def reference_op3_select(s: SearchState, tabu, f_best: int, rng: random.Random) 
     i = rng.choice(sorted(per_array))
     v = rng.choice(per_array[i])
     return Move(gain=best, first=Transfer(v, s.partition.assign[v], i))
+
+
+def reference_op4_select(s: SearchState, rng: random.Random) -> Move | None:
+    """O4 as written before its adjacent pass read B_p cell by cell: one
+    (vertex, gain) stream per array and a per-vertex walk of every
+    neighbour list.  operators.op4_select must return the same move and
+    leave rng in the same state.
+
+    Best double transfer (u -> S_p, v -> S_q) for a randomly drawn ordered
+    pair of distinct subsets; gain may be <= 0.
+
+    Bucket-ordered scans of arrays p and q.  An adjacent pair's combined
+    gain is at most gain(u) + gain(v) + 2*max|w| when u is in S_q (the swap
+    case, psi = 2) and gain(u) + gain(v) + max|w| for every other u; pairs
+    whose bound is below the incumbent are skipped.  Ties are resolved by
+    reservoir sampling over the scanned candidates.
+    """
+    assign = s.partition.assign
+    delta = s.delta
+    k = s.partition.k
+    p, q = rng.sample(range(k), 2)
+
+    best = -math.inf  # no candidate yet: every bound below holds until one is met
+    choice: tuple[int, int] | None = None
+    tie_count = 0
+    tie_budget = _O4_TIE_BUDGET
+    adjacency = s.graph.adjacency
+
+    # Each copy of scan_q rescans B_q from the top; tee caches the entries
+    # read so far and reads further ones from the cells lazily.
+    (scan_q,) = tee(s.descending(q), 1)
+    top_q = next(copy(scan_q), None)
+    if top_q is None:  # every vertex is in S_q
+        return None
+    gq_top = top_q[1]
+
+    # Non-adjacent pairs: for each u from the top of p, partners from the top
+    # of q; sums only decrease, so each inner scan stops at the incumbent.
+    for u, gu in s.descending(p):
+        if gu + gq_top < best:
+            break
+        if gu + gq_top == best and tie_budget <= 0:
+            break
+        nu = None
+        for v, gv in copy(scan_q):
+            gain = gu + gv
+            if gain < best:
+                break
+            if v == u:
+                continue
+            if nu is None:
+                nu = set(nb for nb, _ in adjacency[u])
+            if v in nu:
+                continue
+            if gain > best:
+                best = gain
+                choice = (u, v)
+                tie_count = 1
+            else:
+                tie_budget -= 1
+                if tie_budget < 0:
+                    break
+                tie_count += 1
+                if rng.random() * tie_count < 1.0:
+                    choice = (u, v)
+
+    # Adjacent pairs: psi(c_u, c_v, p, q) = -[c_u=c_v] + [c_v=p] + [c_u=q]
+    # with c_u != p, so psi*w can exceed max|w| only in the swap case
+    # c_u = q, c_v = p, where it is at most 2*max|w|.  That per-u bound
+    # floors the admissible delta[v][q]; a u whose floor is above the top of
+    # B_q is skipped, and the scan ends once even 2*max|w| cannot reach the
+    # incumbent.  Skipped pairs are strictly below it, so they would have
+    # drawn no random number.
+    max_w = s.graph.max_abs_weight
+    two_w = 2 * max_w
+    # psi(c_u, c_v, p, q) per origin pair, filled as pairs are met.
+    coefs: dict[tuple[int, int], int] = {}
+    for u, gu in s.descending(p):
+        neighbours = adjacency[u]
+        if not neighbours:
+            continue
+        cu = assign[u]
+        if gu + gq_top + two_w < best:
+            break
+        bound = two_w if cu == q else max_w
+        v_floor = best - gu - bound
+        if v_floor > gq_top:
+            continue
+        for v, w in neighbours:
+            cv = assign[v]
+            if cv == q:
+                continue
+            dvq = delta[v][q]
+            if dvq < v_floor:
+                continue
+            coef = coefs.get((cu, cv))
+            if coef is None:
+                coef = coefs[cu, cv] = psi(cu, cv, p, q)
+            gain = gu + dvq + coef * w
+            if gain > best:
+                best = gain
+                choice = (u, v)
+                tie_count = 1
+                v_floor = best - gu - bound
+            elif gain == best:
+                tie_count += 1
+                if rng.random() * tie_count < 1.0:
+                    choice = (u, v)
+
+    if choice is None:
+        return None
+    u, v = choice
+    return Move(
+        gain=best,
+        first=Transfer(u, assign[u], p),
+        second=Transfer(v, assign[v], q),
+    )
 
 
 def bucket_snapshot(s: SearchState) -> dict[tuple[int, int], int]:

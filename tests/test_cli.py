@@ -395,12 +395,47 @@ def test_bench_count_below_one_is_input_error(tri_path, tmp_path, capsys, flag):
     ["--phi", "inf"],
     # the target ends the run at once should a NaN budget ever pass the check
     ["--time-limit", "nan", "--target", "5"],
+    ["--max-rounds", "0"],
+    ["--max-rounds", "-2"],
 ])
 def test_solve_out_of_range_param_is_input_error(tri_path, capsys, flags):
     rc = main(["solve", "--instance", str(tri_path), "--k", "2",
                "--time-limit", "0.1", *flags])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_solve_max_rounds_stops_the_run(tri_path, capsys):
+    rc = main(["solve", "--instance", str(tri_path), "--k", "2",
+               "--max-rounds", "2", "--time-limit", "60"])
+    assert rc == 0
+    assert "rounds: 2 " in capsys.readouterr().out
+
+
+def test_bench_max_rounds_zero_is_input_error(tri_path, tmp_path, capsys):
+    out = tmp_path / "report.csv"
+    rc = main(["bench", "--instance", str(tri_path), "--k", "2", "--runs", "1",
+               "--max-rounds", "0", "--out", str(out)])
+    assert rc == 1
+    assert "max_rounds" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bench_max_rounds_gives_identical_cuts(tmp_path):
+    # A round cap stops every run after the same moves whatever the host's
+    # speed, so only the time column may differ between two benches.
+    inst = tmp_path / "g.txt"
+    inst.write_text(write_instance(random_graph(random.Random(5), 40, 0.2)))
+    rows = []
+    for name in ("a.csv", "b.csv"):
+        out = tmp_path / name
+        rc = main(["bench", "--instance", str(inst), "--k", "3", "--runs", "3",
+                   "--base-seed", "11", "--max-rounds", "3", "--time-limit", "60",
+                   "--strategy", "sequential,union", "--out", str(out)])
+        assert rc == 0
+        rows.append([line.rsplit(",", 1)[0] for line in out.read_text().splitlines()])
+    assert len(rows[0]) == 3
+    assert rows[0] == rows[1]
 
 
 def test_solve_negative_time_limit_is_input_error(tri_path, capsys):
@@ -447,11 +482,12 @@ def test_bench_forwards_search_flags(tri_path, tmp_path, monkeypatch):
     rc = main(["bench", "--instance", str(tri_path),
                "--k", "2", "--runs", "2", "--jobs", "1", "--time-limit", "0.1",
                "--omega", "7", "--xi", "9", "--gamma-fraction", "0.5", "--phi", "0.25",
+               "--max-rounds", "4",
                "--strategy", "union", "--out", str(tmp_path / "report.csv")])
     assert rc == 0
     assert [p.seed for p in seen] == [0, 1]
     for p in seen:
-        assert (p.omega, p.xi, p.gamma_fraction, p.phi) == (7, 9, 0.5, 0.25)
+        assert (p.omega, p.xi, p.gamma_fraction, p.phi, p.max_rounds) == (7, 9, 0.5, 0.25, 4)
         assert (p.descent_strategy, p.time_limit) == ("union", 0.1)
     assert "tri.txt,3,3,2,union," in (tmp_path / "report.csv").read_text()
 

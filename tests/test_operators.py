@@ -20,7 +20,13 @@ from maxkcut.operators import (
 from maxkcut.partition import Partition, evaluate
 from maxkcut.tabu import TabuList
 
-from conftest import brute_objective, combined_gain, random_graph, reference_op3_select
+from conftest import (
+    brute_objective,
+    combined_gain,
+    random_graph,
+    reference_op3_select,
+    reference_op4_select,
+)
 
 
 def psi_case_table(c_u, c_v, t_u, t_v):
@@ -213,6 +219,46 @@ def test_op2_sampling_skips_zero_weight_edges():
             m = op2_select(s, rng, max_edges=cap)
             if m is not None:
                 assert weight[frozenset((m.first.vertex, m.second.vertex))] != 0
+
+
+def test_op2_trajectory_digest():
+    """Pins O2's exact moves and RNG use, ties and edge sampling included.
+
+    Each of 300 seeded random states (n 6-40, k 2-6, weights in [-W, W] with
+    W <= 10, so zero and signed weights occur) runs eight op2_select calls,
+    each either over every edge (max_edges=None) or over a sample of 1..m
+    edges.  A returned move is applied; when there is none, one random O5
+    transfer moves the state on.  The move and the RNG state after each call
+    are hashed, so a change in the move, the tie order or the number of
+    random draws changes the digest.
+    """
+    rng = random.Random(1414)
+    h = hashlib.sha256()
+    for _ in range(300):
+        n = rng.randint(6, 40)
+        k = rng.randint(2, 6)
+        wmax = rng.randint(1, 10)
+        density = rng.choice([0.1, 0.3, 0.6])
+        edges = [
+            (u, v, rng.randint(-wmax, wmax))
+            for u in range(n)
+            for v in range(u + 1, n)
+            if rng.random() < density
+        ]
+        g = Graph.from_edges(n, edges)
+        s = init_state(g, Partition(k=k, assign=[rng.randrange(k) for _ in range(n)]))
+        op_rng = random.Random(rng.randrange(2**32))
+        for _ in range(8):
+            cap = None if rng.random() < 0.5 or not g.m else rng.randint(1, g.m)
+            m = op2_select(s, op_rng, cap)
+            h.update(repr((m, op_rng.getstate())).encode())
+            if m is None:
+                op5_apply(s, op_rng)
+            else:
+                apply_move(s, m)
+    assert h.hexdigest() == (
+        "41ddfa8a0ac9a99de19f4e9f5a2554d16e185b849e4b8da3363146b17f49d33c"
+    )
 
 
 TRI_TABU_STATE = [0, 0, 1]  # gains: v0->S2 = -1, v1->S2 = -2, v2->S1 = -5
@@ -438,6 +484,37 @@ def test_op4_trajectory_digest():
     assert h.hexdigest() == (
         "e9778c655676e8f6c2986cb5876c4289821c5939d43e5bde5e0d1ab58f8946d0"
     )
+
+
+def test_op4_matches_reference_on_large_sparse_states():
+    """O4 returns the reference's move and leaves the RNG where it does.
+
+    States are k = 2 or 3, n 400-1500, m = n edges of weight 1 or +-1
+    (about 13 % of the vertices are isolated), after a descent and a few
+    random transfers, so the top cells of B_p hold hundreds of vertices and
+    only some of them neighbour a partner in B_q.  Each of 40 calls per
+    state is checked, then its move is applied.
+    """
+    rng = random.Random(6174)
+    for case in range(8):
+        k = 2 + case % 2
+        weights = (1,) if case % 4 < 2 else (-1, 1)
+        n = rng.randint(400, 1500)
+        pairs = {tuple(sorted(rng.sample(range(n), 2))) for _ in range(n)}
+        g = Graph.from_edges(n, [(u, v, rng.choice(weights)) for u, v in sorted(pairs)])
+        s = init_state(g, Partition(k=k, assign=[rng.randrange(k) for _ in range(n)]))
+        while (m := op1_select(s, rng)) is not None:
+            apply_move(s, m)
+        for _ in range(rng.randint(0, 20)):
+            op5_apply(s, rng)
+        for _ in range(40):
+            seed = rng.randrange(2**32)
+            ref_rng, op_rng = random.Random(seed), random.Random(seed)
+            expected = reference_op4_select(s, ref_rng)
+            m = op4_select(s, op_rng)
+            assert m == expected
+            assert op_rng.getstate() == ref_rng.getstate()
+            apply_move(s, m)
 
 
 def test_op4_finds_the_heavy_swap():

@@ -219,6 +219,26 @@ def test_run_invalid_params(triangle):
     for fraction in (0.0, 1.5):
         with pytest.raises(ValueError, match=r"gamma_fraction must be in \(0, 1\]"):
             make_params(gamma_fraction=fraction).check(triangle)
+    # Counts must be integers: k=2.0 used to pass the check and fail later
+    # in random_initial, and fractional omega, xi and max_rounds ran.
+    for name, value in (("k", 2.0), ("k", "2"), ("omega", 1.5), ("xi", 2.5),
+                        ("max_rounds", 1.5), ("max_rounds", math.nan)):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            run_moh(triangle, make_params(**{name: value}))
+
+
+def test_check_converts_integer_counts(triangle):
+    class Count:
+        def __init__(self, value):
+            self.value = value
+
+        def __index__(self):
+            return self.value
+
+    params = make_params(k=Count(3), omega=Count(4), xi=Count(5), max_rounds=Count(2))
+    params.check(triangle)
+    counts = (params.k, params.omega, params.xi, params.max_rounds)
+    assert counts == (3, 4, 5, 2) and {type(c) for c in counts} == {int}
 
 
 @pytest.mark.parametrize("n,seconds", [(4999, 1800.0), (5000, 7200.0), (9999, 7200.0),
