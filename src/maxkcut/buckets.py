@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 from collections.abc import Iterator
+from itertools import islice
 
 from .graph import Graph
 from .partition import Partition, evaluate
@@ -55,30 +56,33 @@ class SearchState:
         g = self.graph
         k = self.partition.k
         assign = self.partition.assign
-        n = g.n
-        ncells = 2 * self.offset + 1
-        # delta[v][x]: gain of moving v into subset x; entry for x == assign[v]
-        # is meaningless and kept at 0.
-        delta = [[0] * k for _ in range(n)]
-        for v in range(n):
-            acc = [0] * k
-            for nb, w in g.adjacency[v]:
-                acc[assign[nb]] += w
-            own = acc[assign[v]]
-            row = delta[v]
-            for x in range(k):
-                row[x] = own - acc[x]
-            row[assign[v]] = 0
+        off = self.offset
+        ncells = 2 * off + 1
+        # delta[v][x]: gain of moving v into subset x; the entry for
+        # x == assign[v] is meaningless and kept at 0.  Each cell receives
+        # its members in ascending vertex order.
+        others = [[x for x in range(k) if x != c] for c in range(k)]
+        delta = []
+        cells: list[list[dict[int, None]]] = [[{} for _ in range(ncells)] for _ in range(k)]
+        gmax = [0] * k
+        for v, nbs in enumerate(g.adjacency):
+            row = [0] * k
+            for nb, w in nbs:
+                row[assign[nb]] += w
+            c = assign[v]
+            own = row[c]
+            row[c] = 0
+            for x in others[c]:
+                row[x] = idx = own - row[x]
+                idx += off
+                cells[x][idx][v] = None
+                if idx > gmax[x]:
+                    gmax[x] = idx
+            delta.append(row)
         self.delta = delta
+        self.cells = cells
+        self.gmax = gmax
         self.f = evaluate(g, self.partition)
-        self.cells: list[list[dict[int, None]]] = [
-            [{} for _ in range(ncells)] for _ in range(k)
-        ]
-        self.gmax = [0] * k
-        for i in range(k):
-            for v in range(n):
-                if assign[v] != i:
-                    self._insert(i, v)
 
     def _insert(self, i: int, v: int) -> None:
         idx = self.delta[v][i] + self.offset
@@ -203,5 +207,13 @@ def best_single_transfer(s: SearchState, rng: random.Random) -> tuple[int, int, 
         elif idx == best:
             tied.append(i)
     i = rng.choice(tied)
-    v = rng.choice(list(reversed(s.cells[i][best])))
+    cell = s.cells[i][best]
+    # choice over a range draws the same _randbelow(len) as over a list of
+    # the members; member j, newest first, is read from the nearer end.
+    size = len(cell)
+    j = rng.choice(range(size))
+    if j < size // 2:
+        v = next(islice(reversed(cell), j, None))
+    else:
+        v = next(islice(cell, size - 1 - j, None))
     return v, i, best - s.offset

@@ -216,6 +216,39 @@ def test_best_single_transfer_dominates_brute_force():
         assert gain == max(table.values())
 
 
+def list_best_single_transfer(s, rng):
+    """best_single_transfer drawing its vertex from a list of the cell."""
+    best, tied = 0, []
+    for i in range(s.partition.k):
+        idx = s._true_gmax(i)
+        if idx > best:
+            best, tied = idx, [i]
+        elif idx == best:
+            tied.append(i)
+    i = rng.choice(tied)
+    v = rng.choice(list(reversed(s.cells[i][best])))
+    return v, i, best - s.offset
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31))
+def test_best_single_transfer_draws_as_from_a_list(seed):
+    # sparse small-weight graphs give top cells of many members, so the
+    # drawn member is reached from either end of the cell
+    rng = random.Random(seed)
+    n = rng.randint(2, 40)
+    g = random_graph(rng, n, rng.choice([0.05, 0.2]), -2, 2)
+    k = rng.randint(2, min(4, n))
+    s = init_state(g, Partition(k=k, assign=[rng.randrange(k) for _ in range(n)]))
+    for _ in range(20):
+        draw = rng.getrandbits(32)
+        a, b = random.Random(draw), random.Random(draw)
+        move = best_single_transfer(s, a)
+        assert move == list_best_single_transfer(s, b)
+        assert a.getstate() == b.getstate()
+        apply_single_transfer(s, move[0], move[1])
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=2**31))
 def test_gain_coherence_random_walk(seed):

@@ -1,3 +1,6 @@
+import random
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -184,3 +187,50 @@ def test_adjacency_weight_sum_is_double_edge_sum(g):
 @given(graphs())
 def test_nonzero_edges_filter_edges(g):
     assert g.nonzero_edges == tuple(e for e in g.edges if e[2] != 0)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+@pytest.mark.parametrize("last,reason", [
+    ("1 4 1", "vertex id out of range"),
+    ("3 3 1", "self-loop"),
+    ("2 1 5", "duplicate edge"),
+])
+def test_edge_errors_report_their_line_past_blank_lines(newline, last, reason):
+    # lines 1-2 blank before the header, 4 and 6-7 between edges, 9-10
+    # just before the offending last edge on line 11
+    lines = ["", " \t ", "3 3", "\t", "1 2 1", "  ", "", "2 3 1", " ", "", f" {last} ", ""]
+    with pytest.raises(GraphFormatError) as err:
+        parse_instance(newline.join(lines))
+    assert (err.value.reason, err.value.line) == (reason, 11)
+
+
+def _random_instance_text(n: int, m: int, weights, seed: int) -> str:
+    rng = random.Random(seed)
+    pairs = set()
+    lines = [f"{n} {m}"]
+    while len(pairs) < m:
+        u, v = sorted(rng.sample(range(1, n + 1), 2))
+        if (u, v) not in pairs:
+            pairs.add((u, v))
+            lines.append(f"{u} {v} {rng.choice(weights)}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n,m,weights", [(10_000, 9999, [1]), (800, 19176, [1, -1])],
+                         ids=["sparse-large-shape", "dense-shape"])
+def test_parsed_graph_memory(n, m, weights):
+    text = _random_instance_text(n, m, weights, seed=5)
+    tracemalloc.start()
+    try:
+        g = parse_instance(text)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # 2.1 MB (sparse) and 1.9 MB (dense) on CPython 3.11 with one object
+    # per vertex id and per (neighbour, weight) pair; a tuple per half-edge
+    # and an int per edge endpoint made them 3.2 and 4.9 MB
+    assert held <= 2.5e6
+    entries = [pair for adj in g.adjacency for pair in adj]
+    assert len({id(pair) for pair in entries}) == len(set(entries))
+    ids = [u for u, v, _ in g.edges] + [v for u, v, _ in g.edges] + [v for v, _ in entries]
+    assert len({id(v) for v in ids}) == len(set(ids))
