@@ -10,7 +10,6 @@ import csv
 import io
 import statistics
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .graph import Graph, GraphFormatError, parse_instance
@@ -146,7 +145,9 @@ def cmd_bench(args) -> int:
     _check_writable(args.out)
 
     if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # Imported here, not for every command; a pool may start all workers at once.
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(run_params))) as pool:
             results = list(pool.map(run_moh, run_graphs, run_params))
     else:
         results = list(map(run_moh, run_graphs, run_params))

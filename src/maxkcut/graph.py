@@ -8,7 +8,6 @@ stored 0-indexed internally.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from operator import index
 
 
@@ -102,13 +101,16 @@ class Graph:
             abs_sum[u] += aw
             abs_sum[v] += aw
         nonzero = edges = tuple(out)
+        del seen, pairs, out  # freed before the adjacency tuples are made
         if any(w == 0 for _, _, w in edges):
             nonzero = tuple(e for e in edges if e[2] != 0)
+        for x, a in enumerate(adj):
+            adj[x] = tuple(a)
         return cls(
             n=n,
             edges=edges,
             nonzero_edges=nonzero,
-            adjacency=tuple(tuple(a) for a in adj),
+            adjacency=tuple(adj),
             max_degree=max(map(len, adj), default=0),
             max_abs_incident_weight=max(abs_sum, default=0),
             max_abs_weight=max((abs(w) for _, _, w in edges), default=0),
@@ -124,46 +126,48 @@ def parse_instance(text: str) -> Graph:
 
     Blank lines are ignored.  Malformed headers or edge lines, out-of-range
     or duplicate edges, self-loops, and edge-count mismatches raise
-    GraphFormatError with the 1-based line number.  Edge lines are
-    tokenized first and validated by Graph.from_edges afterwards.
+    GraphFormatError with the 1-based line number; a malformed edge line
+    is reported before any edge check.
     """
-    lines = text.splitlines()
-    header_line = None
-    for idx, raw in enumerate(lines):
+    numbered = enumerate(text.splitlines(), 1)
+    for lineno, raw in numbered:  # lineno: the line last read, where an error is
         if raw.strip():
-            header_line = idx
             break
-    if header_line is None:
+    else:
         raise GraphFormatError("empty input, expected 'n m' header")
     try:
-        n, m = map(int, lines[header_line].split())
+        n, m = map(int, raw.split())
     except ValueError:  # a token that is no integer, or not two tokens
-        raise GraphFormatError("malformed header, expected 'n m'", header_line + 1) from None
+        raise GraphFormatError("malformed header, expected 'n m'", lineno) from None
     if n < 0 or m < 0:
-        raise GraphFormatError("negative count in header", header_line + 1)
+        raise GraphFormatError("negative count in header", lineno)
 
-    edges: list[tuple[int, int, int]] = []
-    for lineno, raw in islice(enumerate(lines, 1), header_line + 1, None):
-        parts = raw.split()
-        if not parts:
-            continue
-        if len(parts) != 3:
-            raise GraphFormatError("malformed edge, expected 'u v w'", lineno)
-        try:
-            u, v, w = int(parts[0]), int(parts[1]), int(parts[2])
-        except ValueError:
-            raise GraphFormatError("malformed edge, expected integers 'u v w'", lineno) from None
-        edges.append((u - 1, v - 1, w))
+    def edge_lines():
+        nonlocal lineno
+        for lineno, raw in numbered:
+            parts = raw.split()
+            if not parts:
+                continue
+            if len(parts) != 3:
+                raise GraphFormatError("malformed edge, expected 'u v w'", lineno)
+            try:
+                u, v, w = int(parts[0]), int(parts[1]), int(parts[2])
+            except ValueError:
+                raise GraphFormatError("malformed edge, expected integers 'u v w'", lineno) from None
+            yield u - 1, v - 1, w
+
+    edges = edge_lines()
     try:
         g = Graph.from_edges(n, edges)
     except GraphFormatError as e:
-        # Edge e.edge came from the e.edge-th non-blank line after the header.
-        edge_lines = (no for no, raw in islice(enumerate(lines, 1), header_line + 1, None)
-                      if raw.split())
-        raise GraphFormatError(e.reason, next(islice(edge_lines, e.edge, None))) from None
-    if g.m != m:
-        raise GraphFormatError(f"header promised {m} edges, found {g.m}")
-    return g
+        reason, line = e.reason, lineno
+    else:
+        if g.m != m:
+            raise GraphFormatError(f"header promised {m} edges, found {g.m}")
+        return g
+    for _ in edges:  # a malformed line further on is reported first
+        pass
+    raise GraphFormatError(reason, line)
 
 
 def write_instance(g: Graph) -> str:

@@ -1,7 +1,10 @@
 import json
+import os
 import random
 import re
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -519,6 +522,42 @@ def test_bench_jobs_share_one_run_path(tri_path, tmp_path):
         rows[jobs] = [line.rsplit(",", 1)[0] for line in out.read_text().splitlines()]
     assert len(rows["1"]) == 3
     assert rows["2"] == rows["1"]
+
+
+def test_bench_starts_no_more_workers_than_runs(tri_path, tmp_path, monkeypatch):
+    import concurrent.futures
+
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    rc = main(["bench", "--instance", str(tri_path), "--k", "2", "--runs", "2",
+               "--jobs", "64", "--max-rounds", "1", "--out", str(tmp_path / "report.csv")])
+    assert rc == 0
+    assert asked == [2]
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    import maxkcut
+
+    code = ("import sys, maxkcut.cli; "
+            "print([m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules])")
+    env = {**os.environ, "PYTHONPATH": str(Path(maxkcut.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_bench_unknown_strategy_is_input_error(tri_path, tmp_path, capsys):

@@ -107,8 +107,10 @@ def test_malformed_header():
     ("\n3 -1\n", "negative count in header at line 2"),
     ("3 1\n1 2\n", "malformed edge, expected 'u v w' at line 2"),
     ("3 1\n1 2 1 4\n", "malformed edge, expected 'u v w' at line 2"),
+    # line 3 repeats line 2's edge; the malformed line 5 is still reported
+    ("3 3\n1 2 1\n2 1 1\n\n1 x 1\n", "malformed edge, expected integers 'u v w' at line 5"),
 ], ids=["empty", "blank", "header-non-integer", "header-negative",
-        "edge-two-fields", "edge-four-fields"])
+        "edge-two-fields", "edge-four-fields", "edge-error-then-malformed-line"])
 def test_parse_rejects_malformed_text(text, message):
     with pytest.raises(GraphFormatError, match=message):
         parse_instance(text)
@@ -185,6 +187,11 @@ def test_adjacency_weight_sum_is_double_edge_sum(g):
 
 
 @given(graphs())
+def test_from_edges_reads_an_iterator(g):
+    assert Graph.from_edges(g.n, iter(g.edges)) == g
+
+
+@given(graphs())
 def test_nonzero_edges_filter_edges(g):
     assert g.nonzero_edges == tuple(e for e in g.edges if e[2] != 0)
 
@@ -223,13 +230,17 @@ def test_parsed_graph_memory(n, m, weights):
     tracemalloc.start()
     try:
         g = parse_instance(text)
-        held = tracemalloc.get_traced_memory()[0]
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     # 2.1 MB (sparse) and 1.9 MB (dense) on CPython 3.11 with one object
     # per vertex id and per (neighbour, weight) pair; a tuple per half-edge
     # and an int per edge endpoint made them 3.2 and 4.9 MB
     assert held <= 2.5e6
+    # 4.3 and 4.2 MB with the edges streamed from the lines into the graph;
+    # a whole parsed edge list beside the graph being built made it 6.4 and
+    # 7.0 MB
+    assert peak <= 4.8e6
     entries = [pair for adj in g.adjacency for pair in adj]
     assert len({id(pair) for pair in entries}) == len(set(entries))
     ids = [u for u, v, _ in g.edges] + [v for u, v, _ in g.edges] + [v for v, _ in entries]
