@@ -4,11 +4,12 @@ For each subset i there is a bucket array B_i of 2W+1 cells (W = the largest
 absolute incident weight sum of any vertex, which bounds every gain).  Cell
 ``gain + W`` of B_i is a dict used as an insertion-ordered set of the
 vertices outside S_i whose gain for moving into S_i currently equals
-``gain``.  Every gain change deletes the vertex from its cell and re-inserts
-it, so a cell read backwards lists its members by last arrival, newest
-first.  A per-array top marker (gmax) is raised eagerly on insertion and
-lowered lazily on queries.  The selectors walk the cells through
-cells_descending/descending; O3 and O4 also read a cell's members directly.
+``gain``.  Once SearchState has built the table, apply_single_transfer is
+its one writer: every gain change deletes the vertex from its cell and
+re-inserts it, so a cell read backwards lists its members newest first.  A
+per-array top marker (gmax) is raised eagerly on insertion and lowered
+lazily on queries.  cells_descending is the one walk, top cell first; O3
+and O4 read each cell's members directly.
 """
 
 from __future__ import annotations
@@ -49,23 +50,17 @@ class SearchState:
         self.graph = graph
         self.partition = partition
         self.iter = 0
-        self.offset = graph.max_abs_incident_weight
-        self._rebuild()
-
-    def _rebuild(self) -> None:
-        g = self.graph
-        k = self.partition.k
-        assign = self.partition.assign
-        off = self.offset
-        ncells = 2 * off + 1
+        self.offset = off = graph.max_abs_incident_weight
+        k = partition.k
+        assign = partition.assign
         # delta[v][x]: gain of moving v into subset x; the entry for
         # x == assign[v] is meaningless and kept at 0.  Each cell receives
         # its members in ascending vertex order.
         others = [[x for x in range(k) if x != c] for c in range(k)]
-        delta = []
-        cells: list[list[dict[int, None]]] = [[{} for _ in range(ncells)] for _ in range(k)]
-        gmax = [0] * k
-        for v, nbs in enumerate(g.adjacency):
+        self.delta = delta = []
+        self.cells = cells = [[{} for _ in range(2 * off + 1)] for _ in range(k)]
+        self.gmax = gmax = [0] * k
+        for v, nbs in enumerate(graph.adjacency):
             row = [0] * k
             for nb, w in nbs:
                 row[assign[nb]] += w
@@ -79,19 +74,7 @@ class SearchState:
                 if idx > gmax[x]:
                     gmax[x] = idx
             delta.append(row)
-        self.delta = delta
-        self.cells = cells
-        self.gmax = gmax
-        self.f = evaluate(g, self.partition)
-
-    def _insert(self, i: int, v: int) -> None:
-        idx = self.delta[v][i] + self.offset
-        self.cells[i][idx][v] = None
-        if idx > self.gmax[i]:
-            self.gmax[i] = idx
-
-    def _remove(self, i: int, v: int) -> None:
-        del self.cells[i][self.delta[v][i] + self.offset][v]
+        self.f = evaluate(graph, partition)
 
     def _true_gmax(self, i: int) -> int:
         """Lower gmax to the true top non-empty cell; -1 when B_i is empty."""
@@ -111,13 +94,6 @@ class SearchState:
             cell = cells[idx]
             if cell:
                 yield idx - off, cell
-
-    def descending(self, i: int) -> Iterator[tuple[int, int]]:
-        """(vertex, gain) for every entry of B_i in non-increasing gain
-        order, newest first within a cell."""
-        for gain, cell in self.cells_descending(i):
-            for v in reversed(cell):
-                yield v, gain
 
 
 def init_state(g: Graph, p: Partition) -> SearchState:
@@ -170,19 +146,25 @@ def apply_single_transfer(s: SearchState, v: int, t: int) -> int:
             if idx > gmax[y]:
                 gmax[y] = idx
 
-    # Moved vertex: leave array t, join array c; gains toward third subsets
-    # all shift by -gain (the new origin subset is t instead of c).  Each
-    # shift re-inserts v, also when gain is 0 and its cell stays the same.
-    s._remove(t, v)
+    # Moved vertex: leave B_t; toward every other subset its gain falls by
+    # `gain`, the new origin subset being t instead of c.  That holds for
+    # x = c too, since row[c] is 0 before the move, but v has no entry in
+    # B_c to delete.  Each shift re-inserts v, also when gain is 0.
+    del cells[t][gain + off][v]
+    row[t] = 0
     assign[v] = t
     for x in range(k):
-        if x != c and x != t:
-            s._remove(x, v)
-            row[x] -= gain
-            s._insert(x, v)
-    row[t] = 0
-    row[c] = -gain
-    s._insert(c, v)
+        if x == t:
+            continue
+        old = row[x]
+        row[x] = new = old - gain
+        cx = cells[x]
+        if x != c:
+            del cx[old + off][v]
+        idx = new + off
+        cx[idx][v] = None
+        if idx > gmax[x]:
+            gmax[x] = idx
 
     s.iter += 1
     return gain

@@ -8,8 +8,11 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import os
 import statistics
 import sys
+from collections.abc import Iterator
+from contextlib import contextmanager
 from pathlib import Path
 
 from .graph import Graph, GraphFormatError, parse_instance
@@ -78,45 +81,55 @@ def _params_from_args(g: Graph, args, seed: int, rho: float, strategy: str) -> S
     return params
 
 
-def _check_writable(*paths: str | None) -> None:
+@contextmanager
+def _check_writable(*paths: str | None) -> Iterator[None]:
     """Open each given output path before the search, so that one that
     cannot be written fails at once rather than after the time budget.
-    Append mode leaves an existing file as it is until the results come."""
-    for path in filter(None, paths):
-        try:
-            with open(path, "a"):
-                pass
-        except OSError as e:
-            raise InputError(f"cannot write {path}: {e}") from e
+    Append mode leaves an existing file as it is until the results come.
+    A file created here and still empty on the way out is removed, so a
+    failed or interrupted command leaves no empty output behind."""
+    created = [path for path in filter(None, paths) if not os.path.exists(path)]
+    try:
+        for path in filter(None, paths):
+            try:
+                with open(path, "a"):
+                    pass
+            except OSError as e:
+                raise InputError(f"cannot write {path}: {e}") from e
+        yield
+    finally:
+        for path in created:
+            if os.path.isfile(path) and os.path.getsize(path) == 0:
+                os.remove(path)
 
 
 def cmd_solve(args) -> int:
     g = _load_instance(args.instance)
     params = _params_from_args(g, args, args.seed, args.rho, args.strategy)
-    _check_writable(args.solution_out, args.trace_out)
-    result = run_moh(g, params)
-    print(f"instance: {args.instance}")
-    print(f"n: {g.n}  m: {g.m}  k: {args.k}")
-    print(f"f_best: {result.f_best}")
-    print(f"time_to_best_seconds: {result.time_to_best:.3f}")
-    print(f"total_iterations: {result.total_iterations}")
-    print(f"rounds: {result.rounds}  perturbations: {result.perturbations}")
-    report = validate(g, result.best_partition)
-    for warning in report.warnings:
-        print(f"warning: {warning}")
-    if args.solution_out:
-        name = Path(args.instance).name
-        if args.solution_format == "json":
-            payload = solution_to_json(name, g, result.best_partition)
-        else:
-            payload = solution_to_text(result.best_partition)
-        Path(args.solution_out).write_text(payload)
-    if args.trace_out:
-        with open(args.trace_out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["elapsed_seconds", "f_best"])
-            for elapsed, f in result.trace:
-                writer.writerow([f"{elapsed:.3f}", f])
+    with _check_writable(args.solution_out, args.trace_out):
+        result = run_moh(g, params)
+        print(f"instance: {args.instance}")
+        print(f"n: {g.n}  m: {g.m}  k: {args.k}")
+        print(f"f_best: {result.f_best}")
+        print(f"time_to_best_seconds: {result.time_to_best:.3f}")
+        print(f"total_iterations: {result.total_iterations}")
+        print(f"rounds: {result.rounds}  perturbations: {result.perturbations}")
+        report = validate(g, result.best_partition)
+        for warning in report.warnings:
+            print(f"warning: {warning}")
+        if args.solution_out:
+            name = Path(args.instance).name
+            if args.solution_format == "json":
+                payload = solution_to_json(name, g, result.best_partition)
+            else:
+                payload = solution_to_text(result.best_partition)
+            Path(args.solution_out).write_text(payload)
+        if args.trace_out:
+            with open(args.trace_out, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["elapsed_seconds", "f_best"])
+                for elapsed, f in result.trace:
+                    writer.writerow([f"{elapsed:.3f}", f])
     return 0
 
 
@@ -142,42 +155,41 @@ def cmd_bench(args) -> int:
                     run_graphs.append(g)
                     seed = args.base_seed + r
                     run_params.append(_params_from_args(g, args, seed, rho, strategy))
-    _check_writable(args.out)
+    with _check_writable(args.out):
+        if args.jobs > 1:
+            # Imported here, not for every command; a pool may start all workers at once.
+            from concurrent.futures import ProcessPoolExecutor
+            with ProcessPoolExecutor(max_workers=min(args.jobs, len(run_params))) as pool:
+                results = list(pool.map(run_moh, run_graphs, run_params))
+        else:
+            results = list(map(run_moh, run_graphs, run_params))
 
-    if args.jobs > 1:
-        # Imported here, not for every command; a pool may start all workers at once.
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(args.jobs, len(run_params))) as pool:
-            results = list(pool.map(run_moh, run_graphs, run_params))
-    else:
-        results = list(map(run_moh, run_graphs, run_params))
-
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(BENCH_COLUMNS)
-    for c, (name, g, strategy, rho) in enumerate(cells):
-        runs = results[c * args.runs:(c + 1) * args.runs]
-        fs = [r.f_best for r in runs]
-        writer.writerow(
-            [
-                name,
-                g.n,
-                g.m,
-                args.k,
-                strategy,
-                f"{rho:g}",
-                len(runs),
-                max(fs),
-                f"{statistics.fmean(fs):.2f}",
-                f"{statistics.pstdev(fs):.2f}",
-                f"{statistics.fmean(r.time_to_best for r in runs):.2f}",
-            ]
-        )
-    payload = buf.getvalue()
-    if args.out:
-        Path(args.out).write_text(payload)
-    else:
-        sys.stdout.write(payload)
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(BENCH_COLUMNS)
+        for c, (name, g, strategy, rho) in enumerate(cells):
+            runs = results[c * args.runs:(c + 1) * args.runs]
+            fs = [r.f_best for r in runs]
+            writer.writerow(
+                [
+                    name,
+                    g.n,
+                    g.m,
+                    args.k,
+                    strategy,
+                    f"{rho:g}",
+                    len(runs),
+                    max(fs),
+                    f"{statistics.fmean(fs):.2f}",
+                    f"{statistics.pstdev(fs):.2f}",
+                    f"{statistics.fmean(r.time_to_best for r in runs):.2f}",
+                ]
+            )
+        payload = buf.getvalue()
+        if args.out:
+            Path(args.out).write_text(payload)
+        else:
+            sys.stdout.write(payload)
     return 0
 
 
@@ -227,7 +239,7 @@ def cmd_oracle(args) -> int:
     try:
         opt, p = exact_max_kcut(g, args.k, **kwargs)
     except OracleGuardError as e:
-        raise InputError(f"{e} (use --force to override)") from e
+        raise InputError(f"{e}; use --force to override") from e
     except ValueError as e:
         raise InputError(str(e)) from e
     print(f"optimum: {opt}")

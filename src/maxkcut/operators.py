@@ -174,12 +174,13 @@ def op4_select(s: SearchState, rng: random.Random) -> Move | None:
     """Best double transfer (u -> S_p, v -> S_q) for a randomly drawn ordered
     pair of distinct subsets; gain may be <= 0.
 
-    Bucket-ordered scans of arrays p and q.  An adjacent pair's combined
-    gain is at most gain(u) + gain(v) + 2*max|w| when u is in S_q (the swap
-    case, psi = 2) and gain(u) + gain(v) + max|w| for every other u; pairs
-    whose bound is below the incumbent are skipped, and a cell of B_p whose
-    partners in B_q are fewer than its members is read from their side.
-    Ties are resolved by reservoir sampling over the scanned candidates.
+    Both passes walk B_p and B_q cell by cell, top first, sharing one
+    cached walk of B_q.  An adjacent pair's combined gain is at most
+    gain(u) + gain(v) + 2*max|w| when u is in S_q (the swap case, psi = 2)
+    and gain(u) + gain(v) + max|w| for every other u; pairs whose bound is
+    below the incumbent are skipped, and a cell of B_p whose partners in
+    B_q are fewer than its members is read from their side.  Ties are
+    resolved by reservoir sampling over the scanned candidates.
     """
     assign = s.partition.assign
     delta = s.delta
@@ -192,43 +193,47 @@ def op4_select(s: SearchState, rng: random.Random) -> Move | None:
     tie_budget = _O4_TIE_BUDGET
     adjacency = s.graph.adjacency
 
-    # Each copy of scan_q rescans B_q from the top; tee caches the entries
-    # read so far and reads further ones from the cells lazily.
-    (scan_q,) = tee(s.descending(q), 1)
+    # Each copy of scan_q rewalks B_q's cells from the top; tee caches the
+    # cells read so far and reads further ones lazily.
+    (scan_q,) = tee(s.cells_descending(q), 1)
     top_q = next(copy(scan_q), None)
     if top_q is None:  # every vertex is in S_q
         return None
-    gq_top = top_q[1]
+    gq_top = top_q[0]
 
     # Non-adjacent pairs: for each u from the top of p, partners from the top
-    # of q; sums only decrease, so each inner scan stops at the incumbent.
-    for u, gu in s.descending(p):
+    # of q; sums only decrease, so each scan stops at the incumbent.  A break
+    # on the tie budget inside a cell leaves best at the cell's sum, so the
+    # next, lower cell breaks at once.
+    for gu, p_cell in s.cells_descending(p):
         if gu + gq_top < best:
             break
-        if gu + gq_top == best and tie_budget <= 0:
-            break
-        nu = None
-        for v, gv in copy(scan_q):
-            gain = gu + gv
-            if gain < best:
+        for u in reversed(p_cell):
+            if gu + gq_top == best and tie_budget <= 0:
                 break
-            if v == u:
-                continue
-            if nu is None:
-                nu = set(nb for nb, _ in adjacency[u])
-            if v in nu:
-                continue
-            if gain > best:
-                best = gain
-                choice = (u, v)
-                tie_count = 1
-            else:
-                tie_budget -= 1
-                if tie_budget < 0:
+            nu = None
+            for gv, q_cell in copy(scan_q):
+                gain = gu + gv
+                if gain < best:
                     break
-                tie_count += 1
-                if rng.random() * tie_count < 1.0:
-                    choice = (u, v)
+                for v in reversed(q_cell):
+                    if v == u:
+                        continue
+                    if nu is None:
+                        nu = set(nb for nb, _ in adjacency[u])
+                    if v in nu:
+                        continue
+                    if gain > best:
+                        best = gain
+                        choice = (u, v)
+                        tie_count = 1
+                    else:
+                        tie_budget -= 1
+                        if tie_budget < 0:
+                            break
+                        tie_count += 1
+                        if rng.random() * tie_count < 1.0:
+                            choice = (u, v)
 
     # Adjacent pairs: psi(c_u, c_v, p, q) = -[c_u=c_v] + [c_v=p] + [c_u=q]
     # with c_u != p, so psi*w can exceed max|w| only in the swap case
@@ -241,10 +246,8 @@ def op4_select(s: SearchState, rng: random.Random) -> Move | None:
     two_w = 2 * max_w
     # psi(c_u, c_v, p, q) per origin pair, filled as pairs are met.
     coefs: dict[tuple[int, int], int] = {}
-    # Each copy of scan_cells_q rereads B_q's cells from the top, as scan_q
-    # does its entries.  The floors only rise from one B_p cell to the next,
-    # so B_q is read about as far as the first cell's partners reach.
-    (scan_cells_q,) = tee(s.cells_descending(q), 1)
+    # The floors only rise from one B_p cell to the next, so B_q is read
+    # about as far as the first cell's partners reach.
     for gu, cell in s.cells_descending(p):
         if gu + gq_top + two_w < best:
             break
@@ -256,7 +259,7 @@ def op4_select(s: SearchState, rng: random.Random) -> Move | None:
         # are fewer than the cell's members, the cell is read from their side.
         partners: list[dict[int, None]] = []
         count = 0
-        for gv, q_cell in copy(scan_cells_q):
+        for gv, q_cell in copy(scan_q):
             if gv < f_swap or count >= len(cell):
                 break
             partners.append(q_cell)

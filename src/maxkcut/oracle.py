@@ -31,11 +31,11 @@ def exact_max_kcut(
     """
     if k < 2:
         raise ValueError("k must be >= 2")
-    if g.n > max_n or k > max_k:
+    exceeded = [f"{name}={value} > max_{name}={bound}" for name, value, bound
+                in (("n", g.n, max_n), ("k", k, max_k)) if value > bound]
+    if exceeded:
         raise OracleGuardError(
-            f"instance too large for exhaustive search (n={g.n} > {max_n} or "
-            f"k={k} > {max_k}); raise the guard explicitly to override"
-        )
+            "instance too large for exhaustive search: " + " and ".join(exceeded))
     n = g.n
     if n == 0:
         return 0, Partition(k=k, assign=[])

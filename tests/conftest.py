@@ -97,6 +97,14 @@ def reference_op3_select(s: SearchState, tabu, f_best: int, rng: random.Random) 
     return Move(gain=best, first=Transfer(v, s.partition.assign[v], i))
 
 
+def _descending(s: SearchState, i: int):
+    """(vertex, gain) for every entry of B_i in non-increasing gain order,
+    newest first within a cell: the per-vertex walk the reference O4 reads."""
+    for gain, cell in s.cells_descending(i):
+        for v in reversed(cell):
+            yield v, gain
+
+
 def reference_op4_select(s: SearchState, rng: random.Random) -> Move | None:
     """O4 as written before its adjacent pass read B_p cell by cell: one
     (vertex, gain) stream per array and a per-vertex walk of every
@@ -125,7 +133,7 @@ def reference_op4_select(s: SearchState, rng: random.Random) -> Move | None:
 
     # Each copy of scan_q rescans B_q from the top; tee caches the entries
     # read so far and reads further ones from the cells lazily.
-    (scan_q,) = tee(s.descending(q), 1)
+    (scan_q,) = tee(_descending(s, q), 1)
     top_q = next(copy(scan_q), None)
     if top_q is None:  # every vertex is in S_q
         return None
@@ -133,7 +141,7 @@ def reference_op4_select(s: SearchState, rng: random.Random) -> Move | None:
 
     # Non-adjacent pairs: for each u from the top of p, partners from the top
     # of q; sums only decrease, so each inner scan stops at the incumbent.
-    for u, gu in s.descending(p):
+    for u, gu in _descending(s, p):
         if gu + gq_top < best:
             break
         if gu + gq_top == best and tie_budget <= 0:
@@ -172,7 +180,7 @@ def reference_op4_select(s: SearchState, rng: random.Random) -> Move | None:
     two_w = 2 * max_w
     # psi(c_u, c_v, p, q) per origin pair, filled as pairs are met.
     coefs: dict[tuple[int, int], int] = {}
-    for u, gu in s.descending(p):
+    for u, gu in _descending(s, p):
         neighbours = adjacency[u]
         if not neighbours:
             continue

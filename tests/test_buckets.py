@@ -73,6 +73,14 @@ def test_apply_transfer_matches_recompute(triangle):
     assert_coherent(triangle, s)
 
 
+def test_transfer_into_own_subset_is_refused(triangle):
+    s = init_state(triangle, Partition(k=3, assign=[0, 0, 1]))
+    with pytest.raises(ValueError, match="equals current subset"):
+        apply_single_transfer(s, 2, s.partition.assign[2])
+    assert s.iter == 0
+    assert_coherent(triangle, s)
+
+
 def test_transfer_involution(triangle):
     s = init_state(triangle, Partition(k=2, assign=[0, 0, 1]))
     f0 = s.f
@@ -110,10 +118,9 @@ def test_cell_members_newest_first():
     assert [(gain, list(reversed(cell))) for gain, cell in s.cells_descending(1)] == [
         (0, [0, 2, 1])
     ]
-    assert list(s.descending(1)) == [(0, 0), (2, 0), (1, 0)]
 
 
-def test_descending_lists_each_entry_once():
+def test_cells_descending_lists_each_entry_once():
     rng = random.Random(5)
     g = random_graph(rng, 12, 0.5, -4, 4)
     k = 3
@@ -124,16 +131,12 @@ def test_descending_lists_each_entry_once():
         apply_single_transfer(s, v, t)
     table = brute_gain_table(g, k, s.partition.assign)
     for i in range(k):
-        entries = list(s.descending(i))
+        walk = list(s.cells_descending(i))
+        # each non-empty cell once, at its own index, top cell first
+        assert [gain for gain, _ in walk] == sorted({gain for gain, _ in walk}, reverse=True)
+        assert all(cell and cell is s.cells[i][gain + s.offset] for gain, cell in walk)
+        entries = [(v, gain) for gain, cell in walk for v in cell]
         assert sorted(entries) == sorted((v, gain) for (v, x), gain in table.items() if x == i)
-        gains = [gain for _, gain in entries]
-        assert gains == sorted(gains, reverse=True)
-        # within a cell, the cell's members newest first
-        assert entries == [
-            (v, gain)
-            for gain, _ in s.cells_descending(i)
-            for v in reversed(s.cells[i][gain + s.offset])
-        ]
 
 
 def _weighted_triangle(w):

@@ -155,16 +155,51 @@ def test_check_unreadable_solution_is_input_error(tri_path, tmp_path, capsys):
     assert f"error: cannot read solution {sol}" in capsys.readouterr().err
 
 
-def test_internal_error_exits_2(tri_path, capsys, monkeypatch):
+def _run_failing(tmp_path, monkeypatch, tri_path, error):
+    """Run solve and bench with a run_moh that raises error, each with output
+    files; return the exit codes.  A file that existed before is reused."""
     import maxkcut.cli
 
     def broken(g, params):
-        raise RuntimeError("boom")
+        raise error
 
     monkeypatch.setattr(maxkcut.cli, "run_moh", broken)
-    rc = main(["solve", "--instance", str(tri_path), "--k", "2", "--time-limit", "1"])
-    assert rc == 2
-    assert "internal error: boom" in capsys.readouterr().err
+    kept = tmp_path / "kept.csv"
+    kept.write_text("earlier results\n")
+    commands = [
+        ["solve", "--instance", str(tri_path), "--k", "2", "--time-limit", "1",
+         "--solution-out", str(tmp_path / "sol.json"), "--trace-out", str(kept)],
+        ["bench", "--instance", str(tri_path), "--k", "2", "--runs", "1",
+         "--time-limit", "1", "--out", str(tmp_path / "b.csv")],
+    ]
+    codes = []
+    for argv in commands:
+        try:
+            codes.append(main(argv))
+        except KeyboardInterrupt:
+            codes.append(None)
+    # the probe's new files are gone; the file that was there stays as it was
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.csv", "tri.txt"]
+    assert kept.read_text() == "earlier results\n"
+    return codes
+
+
+def test_internal_error_exits_2(tri_path, tmp_path, capsys, monkeypatch):
+    assert _run_failing(tmp_path, monkeypatch, tri_path, RuntimeError("boom")) == [2, 2]
+    assert capsys.readouterr().err.count("internal error: boom") == 2
+
+
+def test_interrupted_run_leaves_no_empty_output(tri_path, tmp_path, monkeypatch):
+    assert _run_failing(tmp_path, monkeypatch, tri_path, KeyboardInterrupt()) == [None, None]
+
+
+def test_unwritable_second_output_removes_the_first(tri_path, tmp_path, capsys):
+    sol = tmp_path / "sol.json"
+    rc = main(["solve", "--instance", str(tri_path), "--k", "2", "--time-limit", "1",
+               "--solution-out", str(sol), "--trace-out", str(tmp_path / "no" / "t.csv")])
+    assert rc == 1
+    assert "cannot write" in capsys.readouterr().err
+    assert not sol.exists()
 
 
 def test_oracle_triangle(tri_path, capsys):
@@ -181,7 +216,10 @@ def test_oracle_guard_refusal(tmp_path, capsys):
     path.write_text(write_instance(g))
     rc = main(["oracle", "--instance", str(path), "--k", "2"])
     assert rc == 1
-    assert "--force" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: instance too large for exhaustive search: n=20 > max_n=16;"
+        " use --force to override\n"
+    )
 
 
 @pytest.mark.parametrize("name,payload,flags", [

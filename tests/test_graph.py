@@ -109,8 +109,11 @@ def test_malformed_header():
     ("3 1\n1 2 1 4\n", "malformed edge, expected 'u v w' at line 2"),
     # line 3 repeats line 2's edge; the malformed line 5 is still reported
     ("3 3\n1 2 1\n2 1 1\n\n1 x 1\n", "malformed edge, expected integers 'u v w' at line 5"),
+    # the edge error comes first and valid lines follow it
+    ("2 3\n1 5 1\n1 2 1\n2 1 1\n", "vertex id out of range at line 2$"),
 ], ids=["empty", "blank", "header-non-integer", "header-negative",
-        "edge-two-fields", "edge-four-fields", "edge-error-then-malformed-line"])
+        "edge-two-fields", "edge-four-fields", "edge-error-then-malformed-line",
+        "edge-error-then-valid-lines"])
 def test_parse_rejects_malformed_text(text, message):
     with pytest.raises(GraphFormatError, match=message):
         parse_instance(text)

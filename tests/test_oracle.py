@@ -69,6 +69,23 @@ def test_guard():
     assert opt == 1
 
 
+@pytest.mark.parametrize("n,k,exceeded", [
+    (17, 2, "n=17 > max_n=16"),
+    (3, 5, "k=5 > max_k=4"),
+    (17, 5, "n=17 > max_n=16 and k=5 > max_k=4"),
+])
+def test_guard_names_only_the_exceeded_bounds(n, k, exceeded):
+    with pytest.raises(OracleGuardError) as info:
+        exact_max_kcut(Graph.from_edges(n, []), k)
+    assert str(info.value) == f"instance too large for exhaustive search: {exceeded}"
+
+
+def test_empty_graph_optimum_is_zero():
+    opt, p = exact_max_kcut(Graph.from_edges(0, []), 3)
+    assert opt == 0
+    assert p.k == 3 and p.assign == []
+
+
 def test_witness_is_consistent():
     rng = random.Random(10)
     g = random_graph(rng, 8, 0.5)

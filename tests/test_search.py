@@ -193,8 +193,6 @@ def test_run_max_rounds_stop():
 def test_run_invalid_params(triangle):
     with pytest.raises(ValueError):
         run_moh(triangle, make_params(rho=1.5))
-    with pytest.raises(ValueError):
-        run_moh(triangle, make_params(omega=0))
     with pytest.raises(ValueError, match="phi"):
         run_moh(triangle, make_params(phi=0.0))
     with pytest.raises(ValueError, match="phi"):
@@ -216,6 +214,8 @@ def test_run_invalid_params(triangle):
     for name in ("omega", "xi"):
         with pytest.raises(ValueError, match=name):
             run_moh(triangle, make_params(**{name: math.nan}, max_rounds=1))
+        with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+            run_moh(triangle, make_params(**{name: 0}))
     for fraction in (0.0, 1.5):
         with pytest.raises(ValueError, match=r"gamma_fraction must be in \(0, 1\]"):
             make_params(gamma_fraction=fraction).check(triangle)
