@@ -2,14 +2,15 @@
 
 For each subset i there is a bucket array B_i of 2W+1 cells (W = the largest
 absolute incident weight sum of any vertex, which bounds every gain).  Cell
-``gain + W`` of B_i is a dict used as an insertion-ordered set of the
-vertices outside S_i whose gain for moving into S_i currently equals
-``gain``.  Once SearchState has built the table, apply_single_transfer is
-its one writer: every gain change deletes the vertex from its cell and
-re-inserts it, so a cell read backwards lists its members newest first.  A
-per-array top marker (gmax) is raised eagerly on insertion and lowered
-lazily on queries.  cells_descending is the one walk, top cell first; O3
-and O4 read each cell's members directly.
+``gain + W`` of B_i is an insertion-ordered set (a dict) of the vertices
+outside S_i whose gain for moving into S_i is ``gain``; the table stores
+that cell index, slot[v][i] = gain + W, not the gain itself.  Once
+SearchState has built the table, apply_single_transfer is its one writer:
+every gain change moves the vertex from cell slot[v][i] to its new cell, so
+a cell read backwards lists its members newest first.  A per-array top
+marker (gmax) is raised eagerly on insertion and lowered lazily on queries.
+cells_descending is the one walk, top cell first; O3 and O4 read each
+cell's members directly.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ class SearchState:
     """Partition plus objective, gain table, and bucket structure, kept
     mutually coherent under apply_single_transfer."""
 
-    __slots__ = ("graph", "partition", "f", "delta", "cells", "gmax", "offset", "iter")
+    __slots__ = ("graph", "partition", "f", "slot", "cells", "gmax", "offset", "iter")
 
     def __init__(self, graph: Graph, partition: Partition):
         check_bucket_cells(graph, partition.k)
@@ -53,11 +54,11 @@ class SearchState:
         self.offset = off = graph.max_abs_incident_weight
         k = partition.k
         assign = partition.assign
-        # delta[v][x]: gain of moving v into subset x; the entry for
-        # x == assign[v] is meaningless and kept at 0.  Each cell receives
-        # its members in ascending vertex order.
+        # slot[v][x]: off + the gain of moving v into subset x; the entry for
+        # x == assign[v] is meaningless and kept at off (gain 0).  Each cell
+        # receives its members in ascending vertex order.
         others = [[x for x in range(k) if x != c] for c in range(k)]
-        self.delta = delta = []
+        self.slot = slot = []
         self.cells = cells = [[{} for _ in range(2 * off + 1)] for _ in range(k)]
         self.gmax = gmax = [0] * k
         for v, nbs in enumerate(graph.adjacency):
@@ -66,14 +67,13 @@ class SearchState:
                 row[assign[nb]] += w
             c = assign[v]
             own = row[c]
-            row[c] = 0
+            row[c] = off
             for x in others[c]:
-                row[x] = idx = own - row[x]
-                idx += off
+                row[x] = idx = own - row[x] + off
                 cells[x][idx][v] = None
                 if idx > gmax[x]:
                     gmax[x] = idx
-            delta.append(row)
+            slot.append(row)
         self.f = evaluate(graph, partition)
 
     def _true_gmax(self, i: int) -> int:
@@ -114,44 +114,41 @@ def apply_single_transfer(s: SearchState, v: int, t: int) -> int:
     if t == c:
         raise ValueError(f"target subset {t} equals current subset of vertex {v}")
     k = part.k
-    delta = s.delta
-    row = delta[v]
-    gain = row[t]
+    slot = s.slot
+    row = slot[v]
+    cells, gmax = s.cells, s.gmax
+    off = s.offset
+    gain = row[t] - off
     s.f += gain
 
     # Neighbor rows: Delta_{u->y} += w * (-[c_u=c] + [c_u=t] - [y=t] + [y=c]).
     # The coefficient depends only on which of three cases c_u falls in, so
-    # each case's (array, coefficient) plan is built once per move.  Arrays
-    # are independent, so any order over y within one neighbor keeps
+    # each case's (array, coefficient, cells) plan is built once per move.
+    # Arrays are independent, so any order over y within one neighbor keeps
     # every cell's member order; neighbors go in adjacency order.
-    plan_c = [(y, -2 if y == t else -1) for y in range(k) if y != c]
-    plan_t = [(y, 2 if y == c else 1) for y in range(k) if y != t]
-    plan_other = [(c, 1), (t, -1)]
-    cells, gmax = s.cells, s.gmax
-    off = s.offset
+    plan_c = [(y, -2 if y == t else -1, cells[y]) for y in range(k) if y != c]
+    plan_t = [(y, 2 if y == c else 1, cells[y]) for y in range(k) if y != t]
+    plan_other = [(c, 1, cells[c]), (t, -1, cells[t])]
     for u, w in s.graph.adjacency[v]:
         if w == 0:
             continue
         cu = assign[u]
         plan = plan_c if cu == c else plan_t if cu == t else plan_other
-        urow = delta[u]
-        for y, dd in plan:
+        urow = slot[u]
+        for y, dd, cy in plan:
             old = urow[y]
-            new = old + w * dd
-            urow[y] = new
-            cy = cells[y]
-            del cy[old + off][u]
-            idx = new + off
-            cy[idx][u] = None
-            if idx > gmax[y]:
-                gmax[y] = idx
+            urow[y] = new = old + w * dd
+            del cy[old][u]
+            cy[new][u] = None
+            if new > gmax[y]:
+                gmax[y] = new
 
     # Moved vertex: leave B_t; toward every other subset its gain falls by
     # `gain`, the new origin subset being t instead of c.  That holds for
-    # x = c too, since row[c] is 0 before the move, but v has no entry in
-    # B_c to delete.  Each shift re-inserts v, also when gain is 0.
-    del cells[t][gain + off][v]
-    row[t] = 0
+    # x = c too, since row[c] is off (gain 0) before the move, but v has no
+    # entry in B_c to delete.  Each shift re-inserts v, also when gain is 0.
+    del cells[t][row[t]][v]
+    row[t] = off
     assign[v] = t
     for x in range(k):
         if x == t:
@@ -160,11 +157,10 @@ def apply_single_transfer(s: SearchState, v: int, t: int) -> int:
         row[x] = new = old - gain
         cx = cells[x]
         if x != c:
-            del cx[old + off][v]
-        idx = new + off
-        cx[idx][v] = None
-        if idx > gmax[x]:
-            gmax[x] = idx
+            del cx[old][v]
+        cx[new][v] = None
+        if new > gmax[x]:
+            gmax[x] = new
 
     s.iter += 1
     return gain

@@ -11,7 +11,7 @@ import io
 import os
 import statistics
 import sys
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -82,12 +82,20 @@ def _params_from_args(g: Graph, args, seed: int, rho: float, strategy: str) -> S
 
 
 @contextmanager
-def _check_writable(*paths: str | None) -> Iterator[None]:
+def _check_writable(*paths: str | None, inputs: Iterable[str] = ()) -> Iterator[None]:
     """Open each given output path before the search, so that one that
     cannot be written fails at once rather than after the time budget.
-    Append mode leaves an existing file as it is until the results come.
-    A file created here and still empty on the way out is removed, so a
-    failed or interrupted command leaves no empty output behind."""
+    An output that names an input or another output is refused first,
+    since writing it would replace that file.  Append mode leaves an
+    existing file as it is until the results come.  A file created here
+    and still empty on the way out is removed, so a failed or interrupted
+    command leaves no empty output behind."""
+    seen = {os.path.realpath(path): "an input" for path in inputs}
+    for path in filter(None, paths):
+        real = os.path.realpath(path)
+        if real in seen:
+            raise InputError(f"output {path} is also {seen[real]}")
+        seen[real] = "another output"
     created = [path for path in filter(None, paths) if not os.path.exists(path)]
     try:
         for path in filter(None, paths):
@@ -106,7 +114,7 @@ def _check_writable(*paths: str | None) -> Iterator[None]:
 def cmd_solve(args) -> int:
     g = _load_instance(args.instance)
     params = _params_from_args(g, args, args.seed, args.rho, args.strategy)
-    with _check_writable(args.solution_out, args.trace_out):
+    with _check_writable(args.solution_out, args.trace_out, inputs=[args.instance]):
         result = run_moh(g, params)
         print(f"instance: {args.instance}")
         print(f"n: {g.n}  m: {g.m}  k: {args.k}")
@@ -155,7 +163,7 @@ def cmd_bench(args) -> int:
                     run_graphs.append(g)
                     seed = args.base_seed + r
                     run_params.append(_params_from_args(g, args, seed, rho, strategy))
-    with _check_writable(args.out):
+    with _check_writable(args.out, inputs=args.instance):
         if args.jobs > 1:
             # Imported here, not for every command; a pool may start all workers at once.
             from concurrent.futures import ProcessPoolExecutor

@@ -87,7 +87,7 @@ def op2_select(
     count, a uniform edge sample of that size is scanned instead.
     """
     assign = s.partition.assign
-    delta = s.delta
+    slot = s.slot
     k = s.partition.k
     candidates = s.graph.nonzero_edges
     if max_edges is not None and max_edges < len(candidates):
@@ -95,11 +95,11 @@ def op2_select(
     blocks: dict[tuple[int, int], list[list[int]]] = {}
     # targets[c]: the subsets other than c, ascending, so ties keep their order.
     targets = [[t for t in range(k) if t != c] for c in range(k)]
-    best_gain = 0
+    best_gain = zero = 2 * s.offset  # two slots sum to the pair's gain + 2W
     ties: list[tuple[int, int, int, int]] = []
     for u, v, w in candidates:
         cu, cv = assign[u], assign[v]
-        urow, vrow = delta[u], delta[v]
+        urow, vrow = slot[u], slot[v]
         coef_uv = blocks.get((cu, cv))
         if coef_uv is None:
             coef_uv = blocks[cu, cv] = _psi_block(k, cu, cv)
@@ -114,13 +114,13 @@ def op2_select(
                 if gain > best_gain:
                     best_gain = gain
                     ties = [(u, tu, v, tv)]
-                elif best_gain > 0:
+                elif best_gain > zero:
                     ties.append((u, tu, v, tv))
     if not ties:
         return None
     u, tu, v, tv = rng.choice(ties)
     return Move(
-        gain=best_gain,
+        gain=best_gain - zero,
         first=Transfer(u, assign[u], tu),
         second=Transfer(v, assign[v], tv),
     )
@@ -183,7 +183,7 @@ def op4_select(s: SearchState, rng: random.Random) -> Move | None:
     resolved by reservoir sampling over the scanned candidates.
     """
     assign = s.partition.assign
-    delta = s.delta
+    slot, off = s.slot, s.offset
     k = s.partition.k
     p, q = rng.sample(range(k), 2)
 
@@ -238,10 +238,11 @@ def op4_select(s: SearchState, rng: random.Random) -> Move | None:
     # Adjacent pairs: psi(c_u, c_v, p, q) = -[c_u=c_v] + [c_v=p] + [c_u=q]
     # with c_u != p, so psi*w can exceed max|w| only in the swap case
     # c_u = q, c_v = p, where it is at most 2*max|w|.  That per-u bound
-    # floors the admissible delta[v][q] at f_swap (swap) or f_other; a u
-    # whose floor is above the top of B_q is skipped, and the scan ends once
-    # even 2*max|w| cannot reach the incumbent.  Skipped pairs are strictly
-    # below it, so they would have drawn no random number.
+    # floors v's gain into S_q at f_swap (swap) or f_other, tested on
+    # slot[v][q] = gain + off; a u whose floor is above the top of B_q is
+    # skipped, and the scan ends once even 2*max|w| cannot reach the
+    # incumbent.  Skipped pairs are strictly below it, so they would have
+    # drawn no random number.  A v in S_q has a meaningless slot[v][q].
     max_w = s.graph.max_abs_weight
     two_w = 2 * max_w
     # psi(c_u, c_v, p, q) per origin pair, filled as pairs are met.
@@ -272,6 +273,7 @@ def op4_select(s: SearchState, rng: random.Random) -> Move | None:
             if not found:
                 continue
             members = [u for u in members if u in found]
+        gu_off = gu - off
         for u in members:
             neighbours = adjacency[u]
             if not neighbours:
@@ -280,24 +282,25 @@ def op4_select(s: SearchState, rng: random.Random) -> Move | None:
             v_floor = f_swap if cu == q else f_other
             if v_floor > gq_top:
                 continue
+            v_floor += off
             for v, w in neighbours:
+                svq = slot[v][q]
+                if svq < v_floor:
+                    continue
                 cv = assign[v]
                 if cv == q:
-                    continue
-                dvq = delta[v][q]
-                if dvq < v_floor:
                     continue
                 coef = coefs.get((cu, cv))
                 if coef is None:
                     coef = coefs[cu, cv] = psi(cu, cv, p, q)
-                gain = gu + dvq + coef * w
+                gain = gu_off + svq + coef * w
                 if gain > best:
                     best = gain
                     choice = (u, v)
                     tie_count = 1
                     f_swap = best - gu - two_w
                     f_other = best - gu - max_w
-                    v_floor = f_swap if cu == q else f_other
+                    v_floor = (f_swap if cu == q else f_other) + off
                 elif gain == best:
                     tie_count += 1
                     if rng.random() * tie_count < 1.0:

@@ -53,6 +53,12 @@ def brute_gain_table(g: Graph, k: int, assign) -> dict[tuple[int, int], int]:
     return table
 
 
+def stored_gain(s: SearchState, v: int, x: int) -> int:
+    """The gain of moving v into subset x as the table holds it: the table
+    stores the bucket-cell index gain + W, so W is taken off."""
+    return s.slot[v][x] - s.offset
+
+
 def combined_gain(s: SearchState, u: int, t_u: int, v: int, t_v: int) -> int:
     """Gain of jointly moving u -> t_u and v -> t_v (u != v): the two single
     gains plus psi * w_uv, where w_uv is 0 for a non-adjacent pair."""
@@ -61,7 +67,7 @@ def combined_gain(s: SearchState, u: int, t_u: int, v: int, t_v: int) -> int:
     w_uv = next((w for nb, w in s.graph.adjacency[u] if nb == v), 0)
     c_u = s.partition.assign[u]
     c_v = s.partition.assign[v]
-    return s.delta[u][t_u] + s.delta[v][t_v] + psi(c_u, c_v, t_u, t_v) * w_uv
+    return stored_gain(s, u, t_u) + stored_gain(s, v, t_v) + psi(c_u, c_v, t_u, t_v) * w_uv
 
 
 def reference_op3_select(s: SearchState, tabu, f_best: int, rng: random.Random) -> Move:
@@ -121,7 +127,6 @@ def reference_op4_select(s: SearchState, rng: random.Random) -> Move | None:
     reservoir sampling over the scanned candidates.
     """
     assign = s.partition.assign
-    delta = s.delta
     k = s.partition.k
     p, q = rng.sample(range(k), 2)
 
@@ -172,10 +177,10 @@ def reference_op4_select(s: SearchState, rng: random.Random) -> Move | None:
     # Adjacent pairs: psi(c_u, c_v, p, q) = -[c_u=c_v] + [c_v=p] + [c_u=q]
     # with c_u != p, so psi*w can exceed max|w| only in the swap case
     # c_u = q, c_v = p, where it is at most 2*max|w|.  That per-u bound
-    # floors the admissible delta[v][q]; a u whose floor is above the top of
-    # B_q is skipped, and the scan ends once even 2*max|w| cannot reach the
-    # incumbent.  Skipped pairs are strictly below it, so they would have
-    # drawn no random number.
+    # floors the admissible gain of v into S_q; a u whose floor is above the
+    # top of B_q is skipped, and the scan ends once even 2*max|w| cannot
+    # reach the incumbent.  Skipped pairs are strictly below it, so they
+    # would have drawn no random number.
     max_w = s.graph.max_abs_weight
     two_w = 2 * max_w
     # psi(c_u, c_v, p, q) per origin pair, filled as pairs are met.
@@ -195,7 +200,7 @@ def reference_op4_select(s: SearchState, rng: random.Random) -> Move | None:
             cv = assign[v]
             if cv == q:
                 continue
-            dvq = delta[v][q]
+            dvq = stored_gain(s, v, q)
             if dvq < v_floor:
                 continue
             coef = coefs.get((cu, cv))
@@ -242,7 +247,8 @@ def assert_coherent(g: Graph, s: SearchState) -> None:
     assert s.f == brute_objective(g, assign)
     expected = brute_gain_table(g, k, assign)
     for (v, x), gain in expected.items():
-        assert s.delta[v][x] == gain, f"delta[{v}][{x}]"
+        assert stored_gain(s, v, x) == gain, f"gain of {v} into {x}"
+        assert v in s.cells[x][s.slot[v][x]], f"{v} not in the cell its slot for {x} names"
     assert bucket_snapshot(s) == expected
     for i in range(k):
         top = max((idx for idx, cell in enumerate(s.cells[i]) if cell), default=0)

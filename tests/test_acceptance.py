@@ -31,6 +31,7 @@ from conftest import (
     combined_gain,
     random_graph,
     require_gset,
+    stored_gain,
 )
 
 def _report(capsys, line: str) -> None:
@@ -62,7 +63,7 @@ def _verify_placement(g, s):
     k = s.partition.k
     expected = brute_gain_table(g, k, assign)
     for (v, i), gain in expected.items():
-        assert s.delta[v][i] == gain
+        assert stored_gain(s, v, i) == gain
         assert v in s.cells[i][gain + s.offset]
     for i in range(k):
         entries = sum(map(len, s.cells[i]))

@@ -33,6 +33,7 @@ from conftest import (
     brute_objective,
     bucket_snapshot,
     random_graph,
+    stored_gain,
 )
 
 
@@ -40,9 +41,9 @@ def test_init_triangle_gains(triangle):
     s = init_state(triangle, Partition(k=2, assign=[0, 0, 1]))
     assert s.f == 5
     # hand-applied initial-gain formula, vertices 0..2
-    assert s.delta[0][1] == -1
-    assert s.delta[1][1] == -2
-    assert s.delta[2][0] == -5
+    assert stored_gain(s, 0, 1) == -1
+    assert stored_gain(s, 1, 1) == -2
+    assert stored_gain(s, 2, 0) == -5
     assert_coherent(triangle, s)
 
 
@@ -50,7 +51,7 @@ def test_init_edgeless_all_zero():
     g = Graph.from_edges(4, [])
     s = init_state(g, Partition(k=3, assign=[0, 1, 2, 0]))
     assert s.f == 0
-    assert all(gain == 0 for row in s.delta for gain in row)
+    assert all(stored_gain(s, v, x) == 0 for v in range(g.n) for x in range(3))
     for i in range(3):
         assert s._true_gmax(i) == s.offset  # gain 0 cell
 
@@ -61,7 +62,7 @@ def test_init_triangle_k3_optimal(triangle):
     for v in range(3):
         for x in range(3):
             if x != s.partition.assign[v]:
-                assert s.delta[v][x] <= 0
+                assert stored_gain(s, v, x) <= 0
     assert_coherent(triangle, s)
 
 
@@ -84,12 +85,12 @@ def test_transfer_into_own_subset_is_refused(triangle):
 def test_transfer_involution(triangle):
     s = init_state(triangle, Partition(k=2, assign=[0, 0, 1]))
     f0 = s.f
-    delta0 = [row[:] for row in s.delta]
+    slot0 = [row[:] for row in s.slot]
     snap0 = bucket_snapshot(s)
     apply_single_transfer(s, 1, 1)
     apply_single_transfer(s, 1, 0)
     assert s.f == f0
-    assert s.delta == delta0
+    assert s.slot == slot0
     assert bucket_snapshot(s) == snap0
     assert s.partition.assign == [0, 0, 1]
 
@@ -101,7 +102,35 @@ def test_edgeless_moves_are_free():
         if t != s.partition.assign[v]:
             assert apply_single_transfer(s, v, t) == 0
     assert s.f == 0
-    assert all(gain == 0 for row in s.delta for gain in row)
+    assert all(stored_gain(s, v, x) == 0 for v in range(g.n) for x in range(2))
+
+
+def test_extreme_gains_use_the_end_cells():
+    # A unit-weight star: W is the centre's degree, and the centre's gain is
+    # +W with every leaf beside it (cell 2W) and -W with every leaf in the
+    # target subset (cell 0), the two ends of each array.
+    leaves = 5
+    g = Graph.from_edges(leaves + 1, [(0, v, 1) for v in range(1, leaves + 1)])
+    s = init_state(g, Partition(k=3, assign=[0] * (leaves + 1)))
+    w = s.offset
+    assert w == leaves
+    assert 0 in s.cells[1][2 * w] and 0 in s.cells[2][2 * w]
+    assert_coherent(g, s)
+    # The centre leaves its leaves (+W), the leaves move to subset 2 one by
+    # one, the centre joins them (-W) and leaves them again (+W).
+    moves = [(0, 1)] + [(v, 2) for v in range(1, leaves + 1)] + [(0, 2), (0, 0)]
+    centre_gains = []
+    for v, t in moves:
+        expected = brute_gain_table(g, 3, s.partition.assign)[(v, t)]
+        assert apply_single_transfer(s, v, t) == expected
+        assert_coherent(g, s)
+        if v == 0:
+            centre_gains.append(expected)
+        if (v, t) == (0, 1):
+            assert 0 in s.cells[0][0]
+    assert centre_gains == [w, -w, w]
+    assert 0 in s.cells[2][0]
+    assert s.f == w
 
 
 def test_cell_members_newest_first():
@@ -267,7 +296,7 @@ def test_gain_coherence_random_walk(seed):
         t = rng.randrange(k - 1)
         if t >= s.partition.assign[v]:
             t += 1
-        reported = s.delta[v][t]
+        reported = stored_gain(s, v, t)
         gain = apply_single_transfer(s, v, t)
         assert gain == reported
         assert s.f == f_prev + gain  # f-telescoping

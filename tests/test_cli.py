@@ -202,6 +202,40 @@ def test_unwritable_second_output_removes_the_first(tri_path, tmp_path, capsys):
     assert not sol.exists()
 
 
+@pytest.mark.parametrize("flag", ["--solution-out", "--trace-out"])
+def test_solve_output_naming_the_instance_is_input_error(tri_path, capsys, flag):
+    rc = main(["solve", "--instance", str(tri_path), "--k", "2", "--time-limit", "1",
+               flag, str(tri_path)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: output {tri_path} is also an input\n"
+    assert tri_path.read_text() == TRIANGLE
+
+
+def test_solve_outputs_naming_one_file_is_input_error(tri_path, tmp_path, capsys):
+    # the second spelling reaches the same file through a symlink
+    out = tmp_path / "out.txt"
+    out.write_text("earlier results\n")
+    link = tmp_path / "link.txt"
+    link.symlink_to(out)
+    rc = main(["solve", "--instance", str(tri_path), "--k", "2", "--time-limit", "1",
+               "--solution-out", str(out), "--trace-out", str(link)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: output {link} is also another output\n"
+    assert out.read_text() == "earlier results\n"
+    assert tri_path.read_text() == TRIANGLE
+
+
+def test_bench_out_naming_an_instance_is_input_error(tri_path, tmp_path, capsys):
+    other = tmp_path / "other.txt"
+    other.write_text(TRIANGLE)
+    rc = main(["bench", "--instance", str(tri_path), str(other), "--k", "2", "--runs", "1",
+               "--time-limit", "1", "--out", str(tmp_path / "sub" / ".." / "other.txt")])
+    assert rc == 1
+    assert "is also an input" in capsys.readouterr().err
+    assert other.read_text() == TRIANGLE
+    assert tri_path.read_text() == TRIANGLE
+
+
 def test_oracle_triangle(tri_path, capsys):
     assert main(["oracle", "--instance", str(tri_path), "--k", "2"]) == 0
     assert "optimum: 5" in capsys.readouterr().out

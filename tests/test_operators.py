@@ -26,6 +26,7 @@ from conftest import (
     random_graph,
     reference_op3_select,
     reference_op4_select,
+    stored_gain,
 )
 
 
@@ -88,7 +89,7 @@ def test_combined_gain_swap(square4):
 def test_combined_gain_nonadjacent_is_sum():
     g = Graph.from_edges(4, [(0, 1, 5)])
     s = init_state(g, Partition(k=2, assign=[0, 0, 0, 1]))
-    assert combined_gain(s, 2, 1, 3, 0) == s.delta[2][1] + s.delta[3][0]
+    assert combined_gain(s, 2, 1, 3, 0) == stored_gain(s, 2, 1) + stored_gain(s, 3, 0)
 
 
 def test_combined_gain_matches_differential_exhaustively():
@@ -142,7 +143,7 @@ def test_op1_none_implies_no_positive_gain():
             for v in range(g.n):
                 for t in range(k):
                     if t != assign[v]:
-                        assert s.delta[v][t] <= 0
+                        assert stored_gain(s, v, t) <= 0
 
 
 def brute_best_dt_over_edges(g, k, assign):
@@ -307,11 +308,11 @@ def test_op3_never_picks_inadmissible():
         m = op3_select(s, tabu, f_best, rng)
         v, t = m.first.vertex, m.first.target
         admissible = {
-            (vv, tt): s.delta[vv][tt]
+            (vv, tt): stored_gain(s, vv, tt)
             for vv in range(g.n)
             for tt in range(k)
             if tt != assign[vv]
-            and (not tabu.is_forbidden(vv, tt, s.iter) or s.f + s.delta[vv][tt] > f_best)
+            and (not tabu.is_forbidden(vv, tt, s.iter) or s.f + stored_gain(s, vv, tt) > f_best)
         }
         if admissible:
             assert (v, t) in admissible

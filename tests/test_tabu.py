@@ -5,7 +5,7 @@ from maxkcut.operators import op3_select
 from maxkcut.partition import Partition
 from maxkcut.tabu import TabuList
 
-from conftest import random_graph
+from conftest import random_graph, stored_gain
 
 
 def test_record_and_expiry_window():
@@ -82,7 +82,7 @@ def test_cleared_tabu_equals_unrestricted_argmax():
         tl.clear()
         m = op3_select(s, tl, f_best=10**9, rng=rng)
         best = max(
-            s.delta[v][t]
+            stored_gain(s, v, t)
             for v in range(g.n)
             for t in range(k)
             if t != assign[v]
