@@ -34,17 +34,19 @@ class GraphFormatError(ValueError):
 class Graph:
     """Immutable weighted undirected graph.
 
+    edges is flat, (u0, v0, w0, u1, v1, w1, ...) in input order: 24 bytes an
+    edge, where a tuple per edge took 72; triples(edges) reads it by edge.
+    nonzero_edges holds the edges of nonzero weight the same way; it is the
+    edges tuple itself when no edge weighs 0.
     adjacency[v] lists (neighbor, weight) pairs, symmetric by construction;
     equal pairs are one shared tuple.
     max_abs_incident_weight is the largest sum of |w| over the edges incident
     to any single vertex; it bounds every single-transfer move gain.
-    nonzero_edges lists the edges of nonzero weight in input order; it is
-    the edges tuple itself when no edge weighs 0.
     """
 
     n: int
-    edges: tuple[tuple[int, int, int], ...]
-    nonzero_edges: tuple[tuple[int, int, int], ...]
+    edges: tuple[int, ...]
+    nonzero_edges: tuple[int, ...]
     adjacency: tuple[tuple[tuple[int, int], ...], ...]
     max_degree: int
     max_abs_incident_weight: int
@@ -66,8 +68,8 @@ class Graph:
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         # One int object per vertex id and one (neighbour, weight) tuple per
-        # distinct pair, shared by every edge triple and adjacency list that
-        # holds it: a sparse n=10^4 graph holds a third less memory.
+        # distinct pair, shared by the edge fields and every adjacency list
+        # that holds it: a sparse n=10^4 graph holds a third less memory.
         ids = list(range(n))
         pairs: dict[tuple[int, int], tuple[int, int]] = {}
         seen: set[int] = set()
@@ -92,7 +94,7 @@ class Graph:
                 raise GraphFormatError("duplicate edge", edge=i)
             seen.add(key)
             u, v = ids[u], ids[v]
-            out.append((u, v, w))
+            out += u, v, w
             pair = v, w
             adj[u].append(pairs.setdefault(pair, pair))
             pair = u, w
@@ -102,8 +104,8 @@ class Graph:
             abs_sum[v] += aw
         nonzero = edges = tuple(out)
         del seen, pairs, out  # freed before the adjacency tuples are made
-        if any(w == 0 for _, _, w in edges):
-            nonzero = tuple(e for e in edges if e[2] != 0)
+        if 0 in edges[2::3]:
+            nonzero = tuple(x for e in triples(edges) if e[2] for x in e)
         for x, a in enumerate(adj):
             adj[x] = tuple(a)
         return cls(
@@ -113,12 +115,18 @@ class Graph:
             adjacency=tuple(adj),
             max_degree=max(map(len, adj), default=0),
             max_abs_incident_weight=max(abs_sum, default=0),
-            max_abs_weight=max((abs(w) for _, _, w in edges), default=0),
+            max_abs_weight=max(map(abs, edges[2::3]), default=0),
         )
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.edges) // 3
+
+
+def triples(flat: tuple[int, ...]):
+    """The (u, v, w) triples of a flat edge tuple, made one at a time."""
+    it = iter(flat)
+    return zip(it, it, it)
 
 
 def parse_instance(text: str) -> Graph:
@@ -173,5 +181,5 @@ def parse_instance(text: str) -> Graph:
 def write_instance(g: Graph) -> str:
     """Serialize a Graph back to G-set edge-list text (1-indexed)."""
     out = [f"{g.n} {g.m}"]
-    out.extend(f"{u + 1} {v + 1} {w}" for u, v, w in g.edges)
+    out.extend(f"{u + 1} {v + 1} {w}" for u, v, w in triples(g.edges))
     return "\n".join(out) + "\n"

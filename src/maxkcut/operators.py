@@ -89,15 +89,19 @@ def op2_select(
     assign = s.partition.assign
     slot = s.slot
     k = s.partition.k
-    candidates = s.graph.nonzero_edges
-    if max_edges is not None and max_edges < len(candidates):
-        candidates = rng.sample(candidates, max_edges)
+    edges = s.graph.nonzero_edges
+    # starts[j] = 3j is where edge j's fields begin.  A sample of these
+    # draws the same edges as a sample of a tuple of m triples would.
+    starts = range(0, len(edges), 3)
+    if max_edges is not None and max_edges < len(starts):
+        starts = rng.sample(starts, max_edges)
     blocks: dict[tuple[int, int], list[list[int]]] = {}
     # targets[c]: the subsets other than c, ascending, so ties keep their order.
     targets = [[t for t in range(k) if t != c] for c in range(k)]
     best_gain = zero = 2 * s.offset  # two slots sum to the pair's gain + 2W
     ties: list[tuple[int, int, int, int]] = []
-    for u, v, w in candidates:
+    for i in starts:
+        u, v, w = edges[i], edges[i + 1], edges[i + 2]
         cu, cv = assign[u], assign[v]
         urow, vrow = slot[u], slot[v]
         coef_uv = blocks.get((cu, cv))

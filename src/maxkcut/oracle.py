@@ -5,7 +5,7 @@ Ground truth for tests and the checker; only feasible on tiny instances.
 
 from __future__ import annotations
 
-from .graph import Graph
+from .graph import Graph, triples
 from .partition import Partition
 
 DEFAULT_MAX_N = 16
@@ -41,7 +41,7 @@ def exact_max_kcut(
         return 0, Partition(k=k, assign=[])
     # lower_adj[v]: neighbors with smaller index, for incremental cut weight
     lower_adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for u, v, w in g.edges:
+    for u, v, w in triples(g.edges):
         a, b = (u, v) if u > v else (v, u)
         lower_adj[a].append((b, w))
 

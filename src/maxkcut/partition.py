@@ -6,7 +6,7 @@ import json
 import random
 from dataclasses import dataclass, field
 
-from .graph import Graph
+from .graph import Graph, triples
 
 
 @dataclass
@@ -43,7 +43,7 @@ def evaluate(g: Graph, p: Partition) -> int:
     """Objective value: total weight of edges whose endpoints lie in
     different subsets."""
     assign = p.assign
-    return sum(w for u, v, w in g.edges if assign[u] != assign[v])
+    return sum(w for u, v, w in triples(g.edges) if assign[u] != assign[v])
 
 
 @dataclass

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from maxkcut.buckets import SearchState, best_single_transfer
-from maxkcut.graph import Graph
+from maxkcut.graph import Graph, triples
 from maxkcut.operators import _O4_TIE_BUDGET, Move, Transfer, psi
 
 
@@ -37,7 +37,7 @@ def random_graph(
 
 
 def brute_objective(g: Graph, assign) -> int:
-    return sum(w for u, v, w in g.edges if assign[u] != assign[v])
+    return sum(w for u, v, w in triples(g.edges) if assign[u] != assign[v])
 
 
 def brute_gain_table(g: Graph, k: int, assign) -> dict[tuple[int, int], int]:

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from maxkcut.buckets import init_state
-from maxkcut.graph import Graph
+from maxkcut.graph import Graph, triples
 from maxkcut.operators import (
     Move,
     Transfer,
@@ -148,7 +148,7 @@ def test_op1_none_implies_no_positive_gain():
 
 def brute_best_dt_over_edges(g, k, assign):
     best = None
-    for u, v, w in g.edges:
+    for u, v, w in triples(g.edges):
         if w == 0:
             continue
         for t_u in range(k):
@@ -213,13 +213,36 @@ def test_op2_sampling_skips_zero_weight_edges():
     rng = random.Random(23)
     for _ in range(40):
         g = random_graph(rng, rng.randint(4, 9), 0.7, wmin=-1, wmax=1)
-        weight = {frozenset((u, v)): w for u, v, w in g.edges}
+        weight = {frozenset((u, v)): w for u, v, w in triples(g.edges)}
         k = rng.randint(2, 4)
         s = init_state(g, Partition(k=k, assign=[rng.randrange(k) for _ in range(g.n)]))
         for cap in (1, 2):
             m = op2_select(s, rng, max_edges=cap)
             if m is not None:
                 assert weight[frozenset((m.first.vertex, m.second.vertex))] != 0
+
+
+def test_op2_sampled_starts_draw_the_sampled_triples():
+    """O2 samples the start offsets 3j of the flat nonzero_edges tuple.  For
+    the same seed that must pick the same edges, in the same order and with
+    the same draws, as sampling a tuple of the m (u, v, w) triples.  The
+    caps reach both of random.sample's paths (a pool copy when m is small
+    against c, a set of picks otherwise), and two graphs have zero-weight
+    edges, which nonzero_edges leaves out."""
+    rng = random.Random(29)
+    for n, density, wmin in [(8, 0.8, 1), (9, 0.9, -1), (40, 0.2, 1), (60, 0.3, -1)]:
+        g = random_graph(rng, n, density, wmin=wmin, wmax=1)
+        edges = g.nonzero_edges
+        assert (edges is g.edges) == (wmin == 1)
+        kept = tuple(triples(edges))
+        m = len(kept)
+        for c in sorted({1, 2, m // 3, m // 2, m - 1}):
+            for seed in range(5):
+                by_start, by_triple = random.Random(seed), random.Random(seed)
+                starts = by_start.sample(range(0, len(edges), 3), c)
+                drawn = [(edges[i], edges[i + 1], edges[i + 2]) for i in starts]
+                assert drawn == by_triple.sample(kept, c)
+                assert by_start.getstate() == by_triple.getstate()
 
 
 def test_op2_trajectory_digest():

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from maxkcut.graph import Graph
+from maxkcut.graph import Graph, triples
 from maxkcut.oracle import OracleGuardError, exact_max_kcut
 from maxkcut.partition import evaluate
 
@@ -47,7 +47,7 @@ def test_invariant_under_vertex_reordering():
     g = random_graph(rng, 7, 0.5)
     perm = list(range(7))
     rng.shuffle(perm)
-    remapped = Graph.from_edges(7, [(perm[u], perm[v], w) for u, v, w in g.edges])
+    remapped = Graph.from_edges(7, [(perm[u], perm[v], w) for u, v, w in triples(g.edges)])
     for k in (2, 3):
         assert exact_max_kcut(g, k)[0] == exact_max_kcut(remapped, k)[0]
 
