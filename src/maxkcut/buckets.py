@@ -86,14 +86,14 @@ class SearchState:
         return idx
 
     def cells_descending(self, i: int) -> Iterator[tuple[int, dict[int, None]]]:
-        """(gain, cell) for each non-empty cell of B_i, top cell first.  The
-        state must not change while this is iterated."""
+        """(index, cell) for each non-empty cell of B_i, top cell first; a
+        member's gain is index - offset.  The state must not change while
+        this is iterated."""
         cells = self.cells[i]
-        off = self.offset
         for idx in range(self._true_gmax(i), -1, -1):
             cell = cells[idx]
             if cell:
-                yield idx - off, cell
+                yield idx, cell
 
 
 def init_state(g: Graph, p: Partition) -> SearchState:

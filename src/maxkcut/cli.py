@@ -11,8 +11,7 @@ import io
 import os
 import statistics
 import sys
-from collections.abc import Iterable, Iterator
-from contextlib import contextmanager
+from collections.abc import Iterable
 from pathlib import Path
 
 from .graph import Graph, GraphFormatError, parse_instance
@@ -81,63 +80,57 @@ def _params_from_args(g: Graph, args, seed: int, rho: float, strategy: str) -> S
     return params
 
 
-@contextmanager
-def _check_writable(*paths: str | None, inputs: Iterable[str] = ()) -> Iterator[None]:
-    """Open each given output path before the search, so that one that
+def _check_writable(*paths: str | None, inputs: Iterable[str] = ()) -> None:
+    """Check each given output path before the search, so that one that
     cannot be written fails at once rather than after the time budget.
-    An output that names an input or another output is refused first,
-    since writing it would replace that file.  Append mode leaves an
-    existing file as it is until the results come.  A file created here
-    and still empty on the way out is removed, so a failed or interrupted
-    command leaves no empty output behind."""
+    An output that names an input or another output is refused, since
+    writing it would replace that file.  Each resolved path is opened in
+    append mode, which leaves an existing file as it is, and a file that
+    this creates is removed at once: no output exists during the search,
+    and a symlink is never removed."""
     seen = {os.path.realpath(path): "an input" for path in inputs}
     for path in filter(None, paths):
         real = os.path.realpath(path)
         if real in seen:
             raise InputError(f"output {path} is also {seen[real]}")
         seen[real] = "another output"
-    created = [path for path in filter(None, paths) if not os.path.exists(path)]
-    try:
-        for path in filter(None, paths):
-            try:
-                with open(path, "a"):
-                    pass
-            except OSError as e:
-                raise InputError(f"cannot write {path}: {e}") from e
-        yield
-    finally:
-        for path in created:
-            if os.path.isfile(path) and os.path.getsize(path) == 0:
-                os.remove(path)
+        existed = os.path.exists(real)
+        try:
+            with open(real, "a"):
+                pass
+        except OSError as e:
+            raise InputError(f"cannot write {path}: {e}") from e
+        if not existed:
+            os.remove(real)
 
 
 def cmd_solve(args) -> int:
     g = _load_instance(args.instance)
     params = _params_from_args(g, args, args.seed, args.rho, args.strategy)
-    with _check_writable(args.solution_out, args.trace_out, inputs=[args.instance]):
-        result = run_moh(g, params)
-        print(f"instance: {args.instance}")
-        print(f"n: {g.n}  m: {g.m}  k: {args.k}")
-        print(f"f_best: {result.f_best}")
-        print(f"time_to_best_seconds: {result.time_to_best:.3f}")
-        print(f"total_iterations: {result.total_iterations}")
-        print(f"rounds: {result.rounds}  perturbations: {result.perturbations}")
-        report = validate(g, result.best_partition)
-        for warning in report.warnings:
-            print(f"warning: {warning}")
-        if args.solution_out:
-            name = Path(args.instance).name
-            if args.solution_format == "json":
-                payload = solution_to_json(name, g, result.best_partition)
-            else:
-                payload = solution_to_text(result.best_partition)
-            Path(args.solution_out).write_text(payload)
-        if args.trace_out:
-            with open(args.trace_out, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["elapsed_seconds", "f_best"])
-                for elapsed, f in result.trace:
-                    writer.writerow([f"{elapsed:.3f}", f])
+    _check_writable(args.solution_out, args.trace_out, inputs=[args.instance])
+    result = run_moh(g, params)
+    print(f"instance: {args.instance}")
+    print(f"n: {g.n}  m: {g.m}  k: {args.k}")
+    print(f"f_best: {result.f_best}")
+    print(f"time_to_best_seconds: {result.time_to_best:.3f}")
+    print(f"total_iterations: {result.total_iterations}")
+    print(f"rounds: {result.rounds}  perturbations: {result.perturbations}")
+    report = validate(g, result.best_partition)
+    for warning in report.warnings:
+        print(f"warning: {warning}")
+    if args.solution_out:
+        name = Path(args.instance).name
+        if args.solution_format == "json":
+            payload = solution_to_json(name, g, result.best_partition)
+        else:
+            payload = solution_to_text(result.best_partition)
+        Path(args.solution_out).write_text(payload)
+    if args.trace_out:
+        with open(args.trace_out, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["elapsed_seconds", "f_best"])
+            for elapsed, f in result.trace:
+                writer.writerow([f"{elapsed:.3f}", f])
     return 0
 
 
@@ -163,41 +156,41 @@ def cmd_bench(args) -> int:
                     run_graphs.append(g)
                     seed = args.base_seed + r
                     run_params.append(_params_from_args(g, args, seed, rho, strategy))
-    with _check_writable(args.out, inputs=args.instance):
-        if args.jobs > 1:
-            # Imported here, not for every command; a pool may start all workers at once.
-            from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=min(args.jobs, len(run_params))) as pool:
-                results = list(pool.map(run_moh, run_graphs, run_params))
-        else:
-            results = list(map(run_moh, run_graphs, run_params))
+    _check_writable(args.out, inputs=args.instance)
+    if args.jobs > 1:
+        # Imported here, not for every command; a pool may start all workers at once.
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(run_params))) as pool:
+            results = list(pool.map(run_moh, run_graphs, run_params))
+    else:
+        results = list(map(run_moh, run_graphs, run_params))
 
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(BENCH_COLUMNS)
-        for c, (name, g, strategy, rho) in enumerate(cells):
-            runs = results[c * args.runs:(c + 1) * args.runs]
-            fs = [r.f_best for r in runs]
-            writer.writerow(
-                [
-                    name,
-                    g.n,
-                    g.m,
-                    args.k,
-                    strategy,
-                    f"{rho:g}",
-                    len(runs),
-                    max(fs),
-                    f"{statistics.fmean(fs):.2f}",
-                    f"{statistics.pstdev(fs):.2f}",
-                    f"{statistics.fmean(r.time_to_best for r in runs):.2f}",
-                ]
-            )
-        payload = buf.getvalue()
-        if args.out:
-            Path(args.out).write_text(payload)
-        else:
-            sys.stdout.write(payload)
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(BENCH_COLUMNS)
+    for c, (name, g, strategy, rho) in enumerate(cells):
+        runs = results[c * args.runs:(c + 1) * args.runs]
+        fs = [r.f_best for r in runs]
+        writer.writerow(
+            [
+                name,
+                g.n,
+                g.m,
+                args.k,
+                strategy,
+                f"{rho:g}",
+                len(runs),
+                max(fs),
+                f"{statistics.fmean(fs):.2f}",
+                f"{statistics.pstdev(fs):.2f}",
+                f"{statistics.fmean(r.time_to_best for r in runs):.2f}",
+            ]
+        )
+    payload = buf.getvalue()
+    if args.out:
+        Path(args.out).write_text(payload)
+    else:
+        sys.stdout.write(payload)
     return 0
 
 

@@ -142,17 +142,19 @@ def op3_select(
     for (v, t), exp in tabu.expiry.items():
         if exp > s.iter:
             bans[t].add(v)
+    # A member of cell idx aspirates when s.f + idx - offset > f_best.
+    aspire = f_best - s.f + s.offset
     best = -math.inf
     per_array: dict[int, tuple[int, dict[int, None], set[int]]] = {}
     for i in range(k):
-        for gain, cell in s.cells_descending(i):
-            if gain < best:
+        for idx, cell in s.cells_descending(i):
+            if idx < best:
                 break
-            skip = bans[i] if s.f + gain <= f_best else set()
+            skip = bans[i] if idx <= aspire else set()
             count = len(cell) - len(cell.keys() & skip)
             if count:
-                if gain > best:
-                    best = gain
+                if idx > best:
+                    best = idx
                     per_array = {i: (count, cell, skip)}
                 else:
                     per_array[i] = (count, cell, skip)
@@ -166,7 +168,7 @@ def op3_select(
     # the drawn member is the j-th admissible one of the cell, newest first.
     j = rng.choice(range(count))
     v = next(islice(filterfalse(skip.__contains__, reversed(cell)), j, None))
-    return Move(gain=best, first=Transfer(v, s.partition.assign[v], i))
+    return Move(gain=best - s.offset, first=Transfer(v, s.partition.assign[v], i))
 
 
 # After this many tied-gain candidate pairs, O4 stops widening the tie pool
@@ -184,10 +186,11 @@ def op4_select(s: SearchState, rng: random.Random) -> Move | None:
     and gain(u) + gain(v) + max|w| for every other u; pairs whose bound is
     below the incumbent are skipped, and a cell of B_p whose partners in
     B_q are fewer than its members is read from their side.  Ties are
-    resolved by reservoir sampling over the scanned candidates.
+    resolved by reservoir sampling over the scanned candidates.  Gains are
+    compared as cell index sums, a pair's gain + 2*offset.
     """
     assign = s.partition.assign
-    slot, off = s.slot, s.offset
+    slot = s.slot
     k = s.partition.k
     p, q = rng.sample(range(k), 2)
 
@@ -242,15 +245,13 @@ def op4_select(s: SearchState, rng: random.Random) -> Move | None:
     # Adjacent pairs: psi(c_u, c_v, p, q) = -[c_u=c_v] + [c_v=p] + [c_u=q]
     # with c_u != p, so psi*w can exceed max|w| only in the swap case
     # c_u = q, c_v = p, where it is at most 2*max|w|.  That per-u bound
-    # floors v's gain into S_q at f_swap (swap) or f_other, tested on
-    # slot[v][q] = gain + off; a u whose floor is above the top of B_q is
-    # skipped, and the scan ends once even 2*max|w| cannot reach the
-    # incumbent.  Skipped pairs are strictly below it, so they would have
-    # drawn no random number.  A v in S_q has a meaningless slot[v][q].
+    # floors v's cell index in B_q, slot[v][q], at f_swap (swap) or f_other;
+    # a u whose floor is above the top of B_q is skipped, and the scan ends
+    # once even 2*max|w| cannot reach the incumbent.  Skipped pairs are
+    # strictly below it, so they would have drawn no random number.  A v in
+    # S_q has a meaningless slot[v][q].
     max_w = s.graph.max_abs_weight
     two_w = 2 * max_w
-    # psi(c_u, c_v, p, q) per origin pair, filled as pairs are met.
-    coefs: dict[tuple[int, int], int] = {}
     # The floors only rise from one B_p cell to the next, so B_q is read
     # about as far as the first cell's partners reach.
     for gu, cell in s.cells_descending(p):
@@ -258,7 +259,7 @@ def op4_select(s: SearchState, rng: random.Random) -> Move | None:
             break
         f_swap = best - gu - two_w
         f_other = best - gu - max_w
-        # Partners: the members of B_q with gain >= f_swap, a prefix of B_q.
+        # Partners: the members of B_q with index >= f_swap, a prefix of B_q.
         # Every u of this cell has a floor >= f_swap while best only rises,
         # so a u with no partner neighbour meets no pair.  When the partners
         # are fewer than the cell's members, the cell is read from their side.
@@ -277,7 +278,6 @@ def op4_select(s: SearchState, rng: random.Random) -> Move | None:
             if not found:
                 continue
             members = [u for u in members if u in found]
-        gu_off = gu - off
         for u in members:
             neighbours = adjacency[u]
             if not neighbours:
@@ -286,7 +286,6 @@ def op4_select(s: SearchState, rng: random.Random) -> Move | None:
             v_floor = f_swap if cu == q else f_other
             if v_floor > gq_top:
                 continue
-            v_floor += off
             for v, w in neighbours:
                 svq = slot[v][q]
                 if svq < v_floor:
@@ -294,17 +293,15 @@ def op4_select(s: SearchState, rng: random.Random) -> Move | None:
                 cv = assign[v]
                 if cv == q:
                     continue
-                coef = coefs.get((cu, cv))
-                if coef is None:
-                    coef = coefs[cu, cv] = psi(cu, cv, p, q)
-                gain = gu_off + svq + coef * w
+                # psi(cu, cv, p, q), since cu != p, cv != q and p != q
+                gain = gu + svq + ((cu == q) + (cv == p) - (cu == cv)) * w
                 if gain > best:
                     best = gain
                     choice = (u, v)
                     tie_count = 1
                     f_swap = best - gu - two_w
                     f_other = best - gu - max_w
-                    v_floor = (f_swap if cu == q else f_other) + off
+                    v_floor = f_swap if cu == q else f_other
                 elif gain == best:
                     tie_count += 1
                     if rng.random() * tie_count < 1.0:
@@ -314,7 +311,7 @@ def op4_select(s: SearchState, rng: random.Random) -> Move | None:
         return None
     u, v = choice
     return Move(
-        gain=best,
+        gain=best - 2 * s.offset,
         first=Transfer(u, assign[u], p),
         second=Transfer(v, assign[v], q),
     )

@@ -51,8 +51,11 @@ class SearchParams:
 
     def check(self, g: Graph) -> None:
         """Raise ValueError unless these parameters fit a run on g.  The
-        counts k, omega, xi and max_rounds are converted to int."""
-        counts = ("k", "omega", "xi") + ("max_rounds",) * (self.max_rounds is not None)
+        counts k, omega, xi and max_rounds and the target_objective are
+        converted to int."""
+        counts = ("k", "omega", "xi") + tuple(
+            name for name in ("max_rounds", "target_objective") if getattr(self, name) is not None
+        )
         for name in counts:
             try:
                 setattr(self, name, index(getattr(self, name)))

@@ -106,9 +106,9 @@ def reference_op3_select(s: SearchState, tabu, f_best: int, rng: random.Random) 
 def _descending(s: SearchState, i: int):
     """(vertex, gain) for every entry of B_i in non-increasing gain order,
     newest first within a cell: the per-vertex walk the reference O4 reads."""
-    for gain, cell in s.cells_descending(i):
+    for idx, cell in s.cells_descending(i):
         for v in reversed(cell):
-            yield v, gain
+            yield v, idx - s.offset
 
 
 def reference_op4_select(s: SearchState, rng: random.Random) -> Move | None:

@@ -162,9 +162,9 @@ def test_cells_descending_lists_each_entry_once():
     for i in range(k):
         walk = list(s.cells_descending(i))
         # each non-empty cell once, at its own index, top cell first
-        assert [gain for gain, _ in walk] == sorted({gain for gain, _ in walk}, reverse=True)
-        assert all(cell and cell is s.cells[i][gain + s.offset] for gain, cell in walk)
-        entries = [(v, gain) for gain, cell in walk for v in cell]
+        assert [idx for idx, _ in walk] == sorted({idx for idx, _ in walk}, reverse=True)
+        assert all(cell and cell is s.cells[i][idx] for idx, cell in walk)
+        entries = [(v, idx - s.offset) for idx, cell in walk for v in cell]
         assert sorted(entries) == sorted((v, gain) for (v, x), gain in table.items() if x == i)
 
 

@@ -3,6 +3,7 @@ import os
 import random
 import re
 import shlex
+import signal
 import subprocess
 import sys
 import time
@@ -200,6 +201,72 @@ def test_unwritable_second_output_removes_the_first(tri_path, tmp_path, capsys):
     assert rc == 1
     assert "cannot write" in capsys.readouterr().err
     assert not sol.exists()
+
+
+def test_no_output_exists_while_the_search_runs(tri_path, tmp_path, monkeypatch, capsys):
+    # A run killed during its search leaves what the search saw: the files
+    # that were there before the command, and no output it had not written.
+    import maxkcut.cli
+
+    real_run_moh = maxkcut.cli.run_moh
+    listings = []
+
+    def watched(g, params):
+        listings.append(sorted(p.name for p in tmp_path.iterdir()))
+        return real_run_moh(g, params)
+
+    monkeypatch.setattr(maxkcut.cli, "run_moh", watched)
+    kept = tmp_path / "kept.csv"
+    kept.write_text("earlier results\n")
+    run = ["--instance", str(tri_path), "--k", "2", "--time-limit", "1", "--max-rounds", "1"]
+    assert main(["solve", *run, "--solution-out", str(tmp_path / "sol.json"),
+                 "--trace-out", str(tmp_path / "trace.csv")]) == 0
+    assert main(["solve", *run, "--solution-out", str(tmp_path / "sol2.json"),
+                 "--trace-out", str(kept)]) == 0
+    assert main(["bench", *run, "--runs", "1", "--out", str(tmp_path / "b.csv")]) == 0
+    assert listings == [
+        ["kept.csv", "tri.txt"],
+        ["kept.csv", "sol.json", "trace.csv", "tri.txt"],
+        ["kept.csv", "sol.json", "sol2.json", "trace.csv", "tri.txt"],
+    ]
+    assert (tmp_path / "b.csv").exists()
+    assert kept.read_text().startswith("elapsed_seconds,f_best\n")
+
+
+def test_symlinked_output_is_written_through_and_never_removed(tri_path, tmp_path, capsys):
+    target = tmp_path / "target.json"
+    link = tmp_path / "sol.json"
+    link.symlink_to(target)
+    solve = ["solve", "--instance", str(tri_path), "--k", "2", "--time-limit", "1",
+             "--target", "5", "--solution-out", str(link)]
+    # a failed solve leaves the dangling symlink as it was and creates no target
+    assert main([*solve, "--trace-out", str(tmp_path / "no" / "t.csv")]) == 1
+    assert "cannot write" in capsys.readouterr().err
+    assert link.is_symlink() and not target.exists()
+    assert main(solve) == 0
+    assert link.is_symlink()
+    assert json.loads(target.read_text())["objective"] == 5
+
+
+def test_terminated_solve_leaves_no_output(tri_path, tmp_path):
+    import maxkcut
+
+    sol, trace = tmp_path / "sol.json", tmp_path / "trace.csv"
+    env = {**os.environ, "PYTHONPATH": str(Path(maxkcut.__file__).parents[1])}
+    child = subprocess.Popen(
+        [sys.executable, "-m", "maxkcut.cli", "solve", "--instance", str(tri_path), "--k", "2",
+         "--time-limit", "30", "--solution-out", str(sol), "--trace-out", str(trace)],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    try:
+        time.sleep(1.0)
+        child.send_signal(signal.SIGTERM)
+        assert child.wait(timeout=10) == -signal.SIGTERM
+    finally:
+        if child.poll() is None:
+            child.kill()
+            child.wait()
+    assert not sol.exists() and not trace.exists()
 
 
 @pytest.mark.parametrize("flag", ["--solution-out", "--trace-out"])

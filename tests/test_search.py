@@ -222,7 +222,8 @@ def test_run_invalid_params(triangle):
     # Counts must be integers: k=2.0 used to pass the check and fail later
     # in random_initial, and fractional omega, xi and max_rounds ran.
     for name, value in (("k", 2.0), ("k", "2"), ("omega", 1.5), ("xi", 2.5),
-                        ("max_rounds", 1.5), ("max_rounds", math.nan)):
+                        ("max_rounds", 1.5), ("max_rounds", math.nan),
+                        ("target_objective", "x"), ("target_objective", 2.5)):
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             run_moh(triangle, make_params(**{name: value}))
 
