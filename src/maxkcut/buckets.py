@@ -19,6 +19,7 @@ import random
 from collections.abc import Iterator
 from itertools import islice
 
+from .draws import below
 from .graph import Graph
 from .partition import Partition, evaluate
 
@@ -184,12 +185,13 @@ def best_single_transfer(s: SearchState, rng: random.Random) -> tuple[int, int, 
             tied = [i]
         elif idx == best:
             tied.append(i)
-    i = rng.choice(tied)
+    getrandbits = rng.getrandbits
+    i = tied[below(getrandbits, len(tied))]
     cell = s.cells[i][best]
-    # choice over a range draws the same _randbelow(len) as over a list of
-    # the members; member j, newest first, is read from the nearer end.
+    # The draw of rng.choice over a list of the members, newest first;
+    # member j is read from the nearer end.
     size = len(cell)
-    j = rng.choice(range(size))
+    j = below(getrandbits, size)
     if j < size // 2:
         v = next(islice(reversed(cell), j, None))
     else:

@@ -12,22 +12,22 @@ from __future__ import annotations
 import math
 import random
 from copy import copy
-from dataclasses import dataclass
 from itertools import filterfalse, islice, tee
+from operator import itemgetter
+from typing import NamedTuple
 
 from .buckets import SearchState, apply_single_transfer, best_single_transfer
+from .draws import below, sample_below
 from .tabu import TabuList
 
 
-@dataclass(frozen=True)
-class Transfer:
+class Transfer(NamedTuple):
     vertex: int
     origin: int
     target: int
 
 
-@dataclass(frozen=True)
-class Move:
+class Move(NamedTuple):
     gain: int
     first: Transfer
     second: Transfer | None = None
@@ -37,7 +37,8 @@ def psi(c_u: int, c_v: int, t_u: int, t_v: int) -> int:
     """Interaction coefficient of a double transfer sharing an edge.
 
     Indicator form -[c_u=c_v] + [t_u=c_v] - [t_u=t_v] + [c_u=t_v]; equal to
-    the seven-case definition on every admissible input.
+    the seven-case definition on every admissible input.  O2 and O4 compute
+    this form inline; the tests check them against this function.
     """
     if t_u == c_u or t_v == c_v:
         raise ValueError("double-transfer targets must differ from current subsets")
@@ -47,20 +48,6 @@ def psi(c_u: int, c_v: int, t_u: int, t_v: int) -> int:
         - (1 if t_u == t_v else 0)
         + (1 if c_u == t_v else 0)
     )
-
-
-def _psi_block(k: int, c_u: int, c_v: int) -> list[list[int]]:
-    """psi(c_u, c_v, t_u, t_v) for every target pair, indexed [t_u][t_v].
-
-    Inadmissible entries (t_u == c_u or t_v == c_v) hold 0.  O2 builds one
-    block per origin pair it meets within a call: k**2 work, no more than
-    one edge's own scan over its target pairs.
-    """
-    r = range(k)
-    return [
-        [psi(c_u, c_v, tu, tv) if tu != c_u and tv != c_v else 0 for tv in r]
-        for tu in r
-    ]
 
 
 def apply_move(s: SearchState, move: Move) -> None:
@@ -74,7 +61,7 @@ def op1_select(s: SearchState, rng: random.Random) -> Move | None:
     v, t, gain = best_single_transfer(s, rng)
     if gain <= 0:
         return None
-    return Move(gain=gain, first=Transfer(v, s.partition.assign[v], t))
+    return Move(gain, Transfer(v, s.partition.assign[v], t))
 
 
 def op2_select(
@@ -90,29 +77,27 @@ def op2_select(
     slot = s.slot
     k = s.partition.k
     edges = s.graph.nonzero_edges
-    # starts[j] = 3j is where edge j's fields begin.  A sample of these
-    # draws the same edges as a sample of a tuple of m triples would.
-    starts = range(0, len(edges), 3)
-    if max_edges is not None and max_edges < len(starts):
-        starts = rng.sample(starts, max_edges)
-    blocks: dict[tuple[int, int], list[list[int]]] = {}
+    m = len(edges) // 3
+    picks = range(m)
+    if max_edges is not None and max_edges < m:
+        picks = sample_below(rng, m, max_edges)
     # targets[c]: the subsets other than c, ascending, so ties keep their order.
     targets = [[t for t in range(k) if t != c] for c in range(k)]
     best_gain = zero = 2 * s.offset  # two slots sum to the pair's gain + 2W
     ties: list[tuple[int, int, int, int]] = []
-    for i in starts:
+    for j in picks:
+        i = 3 * j  # where edge j's fields begin
         u, v, w = edges[i], edges[i + 1], edges[i + 2]
         cu, cv = assign[u], assign[v]
         urow, vrow = slot[u], slot[v]
-        coef_uv = blocks.get((cu, cv))
-        if coef_uv is None:
-            coef_uv = blocks[cu, cv] = _psi_block(k, cu, cv)
+        # psi(cu, cv, tu, tv) = -[cu=cv] + [tu=cv] - [tu=tv] + [cu=tv]
+        psi_cu = -(cu == cv)
         targets_v = targets[cv]
         for tu in targets[cu]:
             du = urow[tu]
-            coef_tu = coef_uv[tu]
+            psi_tu = psi_cu + (tu == cv)
             for tv in targets_v:
-                gain = du + vrow[tv] + coef_tu[tv] * w
+                gain = du + vrow[tv] + (psi_tu + (cu == tv) - (tu == tv)) * w
                 if gain < best_gain:
                     continue
                 if gain > best_gain:
@@ -122,12 +107,8 @@ def op2_select(
                     ties.append((u, tu, v, tv))
     if not ties:
         return None
-    u, tu, v, tv = rng.choice(ties)
-    return Move(
-        gain=best_gain - zero,
-        first=Transfer(u, assign[u], tu),
-        second=Transfer(v, assign[v], tv),
-    )
+    u, tu, v, tv = ties[below(rng.getrandbits, len(ties))]
+    return Move(best_gain - zero, Transfer(u, assign[u], tu), Transfer(v, assign[v], tv))
 
 
 def op3_select(
@@ -161,14 +142,15 @@ def op3_select(
                 break
     if not per_array:
         v, t, gain = best_single_transfer(s, rng)
-        return Move(gain=gain, first=Transfer(v, s.partition.assign[v], t))
-    i = rng.choice(sorted(per_array))
+        return Move(gain, Transfer(v, s.partition.assign[v], t))
+    getrandbits = rng.getrandbits
+    i = sorted(per_array)[below(getrandbits, len(per_array))]
     count, cell, skip = per_array[i]
-    # choice over a range draws the same _randbelow(count) as over a list;
-    # the drawn member is the j-th admissible one of the cell, newest first.
-    j = rng.choice(range(count))
+    # The draw of rng.choice over a list of the cell's admissible members,
+    # newest first; member j is read from the cell.
+    j = below(getrandbits, count)
     v = next(islice(filterfalse(skip.__contains__, reversed(cell)), j, None))
-    return Move(gain=best - s.offset, first=Transfer(v, s.partition.assign[v], i))
+    return Move(best - s.offset, Transfer(v, s.partition.assign[v], i))
 
 
 # After this many tied-gain candidate pairs, O4 stops widening the tie pool
@@ -192,7 +174,7 @@ def op4_select(s: SearchState, rng: random.Random) -> Move | None:
     assign = s.partition.assign
     slot = s.slot
     k = s.partition.k
-    p, q = rng.sample(range(k), 2)
+    p, q = sample_below(rng, k, 2)
 
     best = -math.inf  # no candidate yet: every bound below holds until one is met
     choice: tuple[int, int] | None = None
@@ -227,7 +209,7 @@ def op4_select(s: SearchState, rng: random.Random) -> Move | None:
                     if v == u:
                         continue
                     if nu is None:
-                        nu = set(nb for nb, _ in adjacency[u])
+                        nu = set(map(itemgetter(0), adjacency[u]))
                     if v in nu:
                         continue
                     if gain > best:
@@ -278,15 +260,12 @@ def op4_select(s: SearchState, rng: random.Random) -> Move | None:
             if not found:
                 continue
             members = [u for u in members if u in found]
-        for u in members:
-            neighbours = adjacency[u]
-            if not neighbours:
-                continue
+        for u in filter(adjacency.__getitem__, members):  # u has a neighbour
             cu = assign[u]
             v_floor = f_swap if cu == q else f_other
             if v_floor > gq_top:
                 continue
-            for v, w in neighbours:
+            for v, w in adjacency[u]:
                 svq = slot[v][q]
                 if svq < v_floor:
                     continue
@@ -310,18 +289,15 @@ def op4_select(s: SearchState, rng: random.Random) -> Move | None:
     if choice is None:
         return None
     u, v = choice
-    return Move(
-        gain=best - 2 * s.offset,
-        first=Transfer(u, assign[u], p),
-        second=Transfer(v, assign[v], q),
-    )
+    return Move(best - 2 * s.offset, Transfer(u, assign[u], p), Transfer(v, assign[v], q))
 
 
 def op5_apply(s: SearchState, rng: random.Random) -> Transfer:
     """Apply one uniformly random single transfer and return it."""
-    v = rng.randrange(s.graph.n)
+    getrandbits = rng.getrandbits
+    v = below(getrandbits, s.graph.n)
     c = s.partition.assign[v]
-    t = rng.randrange(s.partition.k - 1)
+    t = below(getrandbits, s.partition.k - 1)
     if t >= c:
         t += 1
     apply_single_transfer(s, v, t)

@@ -6,6 +6,7 @@ import json
 import random
 from dataclasses import dataclass, field
 
+from .draws import below
 from .graph import Graph, triples
 
 
@@ -22,7 +23,15 @@ def random_initial(g: Graph, k: int, rng: random.Random) -> Partition:
     moving vertices out of subsets of size >= 2 until none is empty."""
     if k < 2 or k > g.n:
         raise ValueError(f"k must satisfy 2 <= k <= n, got k={k}, n={g.n}")
-    assign = [rng.randrange(k) for _ in range(g.n)]
+    # One draw of randrange(k) per vertex: below(getrandbits, k), inlined.
+    getrandbits = rng.getrandbits
+    bits = k.bit_length()
+    assign = []
+    for _ in range(g.n):
+        r = getrandbits(bits)
+        while r >= k:
+            r = getrandbits(bits)
+        assign.append(r)
     sizes = [0] * k
     for s in assign:
         sizes[s] += 1
@@ -30,7 +39,7 @@ def random_initial(g: Graph, k: int, rng: random.Random) -> Partition:
     while empties:
         target = empties.pop()
         while True:
-            v = rng.randrange(g.n)
+            v = below(getrandbits, g.n)
             if sizes[assign[v]] >= 2:
                 break
         sizes[assign[v]] -= 1

@@ -6,6 +6,8 @@ from __future__ import annotations
 import math
 import random
 
+from .draws import below
+
 
 class TabuList:
     """Maps (vertex, subset) to the iteration at which the ban expires.
@@ -20,7 +22,7 @@ class TabuList:
         self.expiry: dict[tuple[int, int], int] = {}
 
     def record(self, v: int, origin: int, iteration: int, rng: random.Random) -> None:
-        tenure = rng.randint(self.low, self.high)
+        tenure = self.low + below(rng.getrandbits, self.high - self.low + 1)  # randint
         self.expiry[(v, origin)] = iteration + tenure
 
     def is_forbidden(self, v: int, target: int, iteration: int) -> bool:

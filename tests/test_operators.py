@@ -5,6 +5,7 @@ import random
 import pytest
 
 from maxkcut.buckets import init_state
+from maxkcut.draws import sample_below
 from maxkcut.graph import Graph, triples
 from maxkcut.operators import (
     Move,
@@ -223,12 +224,13 @@ def test_op2_sampling_skips_zero_weight_edges():
 
 
 def test_op2_sampled_starts_draw_the_sampled_triples():
-    """O2 samples the start offsets 3j of the flat nonzero_edges tuple.  For
-    the same seed that must pick the same edges, in the same order and with
-    the same draws, as sampling a tuple of the m (u, v, w) triples.  The
-    caps reach both of random.sample's paths (a pool copy when m is small
-    against c, a set of picks otherwise), and two graphs have zero-weight
-    edges, which nonzero_edges leaves out."""
+    """O2 scans the fields of edge j at offset 3j of the flat nonzero_edges
+    tuple, for j in sample_below(rng, m, c).  For the same seed that must
+    pick the same edges, in the same order and with the same draws, as
+    sampling a tuple of the m (u, v, w) triples.  The caps reach both of
+    random.sample's paths (a pool copy when m is small against c, a set of
+    picks otherwise), and two graphs have zero-weight edges, which
+    nonzero_edges leaves out."""
     rng = random.Random(29)
     for n, density, wmin in [(8, 0.8, 1), (9, 0.9, -1), (40, 0.2, 1), (60, 0.3, -1)]:
         g = random_graph(rng, n, density, wmin=wmin, wmax=1)
@@ -239,7 +241,7 @@ def test_op2_sampled_starts_draw_the_sampled_triples():
         for c in sorted({1, 2, m // 3, m // 2, m - 1}):
             for seed in range(5):
                 by_start, by_triple = random.Random(seed), random.Random(seed)
-                starts = by_start.sample(range(0, len(edges), 3), c)
+                starts = [3 * j for j in sample_below(by_start, m, c)]
                 drawn = [(edges[i], edges[i + 1], edges[i + 2]) for i in starts]
                 assert drawn == by_triple.sample(kept, c)
                 assert by_start.getstate() == by_triple.getstate()
