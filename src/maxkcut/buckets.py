@@ -45,7 +45,7 @@ class SearchState:
     """Partition plus objective, gain table, and bucket structure, kept
     mutually coherent under apply_single_transfer."""
 
-    __slots__ = ("graph", "partition", "f", "slot", "cells", "gmax", "offset", "iter")
+    __slots__ = ("graph", "partition", "f", "slot", "cells", "gmax", "offset", "iter", "others")
 
     def __init__(self, graph: Graph, partition: Partition):
         check_bucket_cells(graph, partition.k)
@@ -57,8 +57,9 @@ class SearchState:
         assign = partition.assign
         # slot[v][x]: off + the gain of moving v into subset x; the entry for
         # x == assign[v] is meaningless and kept at off (gain 0).  Each cell
-        # receives its members in ascending vertex order.
-        others = [[x for x in range(k) if x != c] for c in range(k)]
+        # receives its members in ascending vertex order.  others[c]: the
+        # subsets other than c, ascending.
+        self.others = others = [[x for x in range(k) if x != c] for c in range(k)]
         self.slot = slot = []
         self.cells = cells = [[{} for _ in range(2 * off + 1)] for _ in range(k)]
         self.gmax = gmax = [0] * k
@@ -97,10 +98,8 @@ class SearchState:
                 yield idx, cell
 
 
-def init_state(g: Graph, p: Partition) -> SearchState:
-    """Build a coherent state from scratch: gains per the initial-gain formula,
-    buckets populated, objective evaluated."""
-    return SearchState(g, p)
+# perfbench wraps this name to time building a state.
+init_state = SearchState
 
 
 def apply_single_transfer(s: SearchState, v: int, t: int) -> int:
@@ -109,12 +108,10 @@ def apply_single_transfer(s: SearchState, v: int, t: int) -> int:
     Returns the realized gain.  Only v's own row and the rows of its
     neighbors change; each changed entry is shifted to its new bucket cell.
     """
-    part = s.partition
-    assign = part.assign
+    assign = s.partition.assign
     c = assign[v]
     if t == c:
         raise ValueError(f"target subset {t} equals current subset of vertex {v}")
-    k = part.k
     slot = s.slot
     row = slot[v]
     cells, gmax = s.cells, s.gmax
@@ -127,8 +124,9 @@ def apply_single_transfer(s: SearchState, v: int, t: int) -> int:
     # each case's (array, coefficient, cells) plan is built once per move.
     # Arrays are independent, so any order over y within one neighbor keeps
     # every cell's member order; neighbors go in adjacency order.
-    plan_c = [(y, -2 if y == t else -1, cells[y]) for y in range(k) if y != c]
-    plan_t = [(y, 2 if y == c else 1, cells[y]) for y in range(k) if y != t]
+    others = s.others
+    plan_c = [(y, -2 if y == t else -1, cells[y]) for y in others[c]]
+    plan_t = [(y, 2 if y == c else 1, cells[y]) for y in others[t]]
     plan_other = [(c, 1, cells[c]), (t, -1, cells[t])]
     for u, w in s.graph.adjacency[v]:
         if w == 0:
@@ -151,9 +149,7 @@ def apply_single_transfer(s: SearchState, v: int, t: int) -> int:
     del cells[t][row[t]][v]
     row[t] = off
     assign[v] = t
-    for x in range(k):
-        if x == t:
-            continue
+    for x in others[t]:
         old = row[x]
         row[x] = new = old - gain
         cx = cells[x]

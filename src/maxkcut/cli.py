@@ -49,7 +49,7 @@ class InputError(Exception):
 def _load_instance(path: str) -> Graph:
     try:
         text = Path(path).read_text()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise InputError(f"cannot read instance {path}: {e}") from e
     try:
         return parse_instance(text)
@@ -198,7 +198,7 @@ def cmd_check(args) -> int:
     g = _load_instance(args.instance)
     try:
         text = Path(args.solution).read_text()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise InputError(f"cannot read solution {args.solution}: {e}") from e
     k, claimed = args.k, args.objective
     try:

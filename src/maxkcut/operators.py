@@ -75,14 +75,12 @@ def op2_select(
     """
     assign = s.partition.assign
     slot = s.slot
-    k = s.partition.k
     edges = s.graph.nonzero_edges
     m = len(edges) // 3
     picks = range(m)
     if max_edges is not None and max_edges < m:
         picks = sample_below(rng, m, max_edges)
-    # targets[c]: the subsets other than c, ascending, so ties keep their order.
-    targets = [[t for t in range(k) if t != c] for c in range(k)]
+    targets = s.others  # ascending, so ties keep their order
     best_gain = zero = 2 * s.offset  # two slots sum to the pair's gain + 2W
     ties: list[tuple[int, int, int, int]] = []
     for j in picks:
@@ -126,7 +124,8 @@ def op3_select(
     # A member of cell idx aspirates when s.f + idx - offset > f_best.
     aspire = f_best - s.f + s.offset
     best = -math.inf
-    per_array: dict[int, tuple[int, dict[int, None], set[int]]] = {}
+    # (array, admissible count, cell, skip) per array tied at best, ascending.
+    tied: list[tuple[int, int, dict[int, None], set[int]]] = []
     for i in range(k):
         for idx, cell in s.cells_descending(i):
             if idx < best:
@@ -136,16 +135,14 @@ def op3_select(
             if count:
                 if idx > best:
                     best = idx
-                    per_array = {i: (count, cell, skip)}
-                else:
-                    per_array[i] = (count, cell, skip)
+                    tied = []
+                tied.append((i, count, cell, skip))
                 break
-    if not per_array:
+    if not tied:
         v, t, gain = best_single_transfer(s, rng)
         return Move(gain, Transfer(v, s.partition.assign[v], t))
     getrandbits = rng.getrandbits
-    i = sorted(per_array)[below(getrandbits, len(per_array))]
-    count, cell, skip = per_array[i]
+    i, count, cell, skip = tied[below(getrandbits, len(tied))]
     # The draw of rng.choice over a list of the cell's admissible members,
     # newest first; member j is read from the cell.
     j = below(getrandbits, count)

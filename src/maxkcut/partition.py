@@ -66,7 +66,8 @@ class ValidationReport:
 
 
 def validate(g: Graph, p: Partition) -> ValidationReport:
-    """Check 2 <= k <= n, assignment length and subset range.
+    """Check 2 <= k <= n, assignment length and subset range; the vertices
+    out of range make one error, which names the first of them.
 
     Empty subsets are reported as warnings, not errors: single-transfer moves
     may legitimately empty a subset during search.
@@ -81,16 +82,20 @@ def validate(g: Graph, p: Partition) -> ValidationReport:
     if len(p.assign) != g.n:
         report.errors.append(f"assignment length {len(p.assign)} != n={g.n}")
         return report
-    for v, s in enumerate(p.assign):
-        if not (0 <= s < p.k):
-            report.errors.append(f"vertex {v}: subset index {s} out of range 0..{p.k - 1}")
-    if not report.errors:
-        sizes = [0] * p.k
-        for s in p.assign:
-            sizes[s] += 1
-        for i, c in enumerate(sizes):
-            if c == 0:
-                report.warnings.append(f"empty subset {i}")
+    bad = [v for v, s in enumerate(p.assign) if not (0 <= s < p.k)]
+    if bad:
+        v = bad[0]
+        report.errors.append(
+            f"vertex {v}: subset index {p.assign[v]} out of range 0..{p.k - 1}"
+            f" ({len(bad)} of {g.n} vertices out of range)"
+        )
+        return report
+    sizes = [0] * p.k
+    for s in p.assign:
+        sizes[s] += 1
+    for i, c in enumerate(sizes):
+        if c == 0:
+            report.warnings.append(f"empty subset {i}")
     return report
 
 
@@ -119,9 +124,9 @@ def _json_int(value, field: str) -> int:
 def solution_from_json(text: str) -> tuple[str, int, int, list[int]]:
     """Returns (instance, k, claimed objective, assignment).  A malformed
     document, or a k, objective or subset id that is not a JSON integer,
-    raises ValueError."""
-    doc = json.loads(text)
+    raises ValueError, as does one nested too deeply to parse."""
     try:
+        doc = json.loads(text)
         return (
             str(doc["instance"]),
             _json_int(doc["k"], "k"),
@@ -132,6 +137,8 @@ def solution_from_json(text: str) -> tuple[str, int, int, list[int]]:
         raise ValueError(f"missing field {e}") from None
     except TypeError as e:
         raise ValueError(f"malformed field: {e}") from None
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
 
 
 def solution_from_text(text: str) -> list[int]:

@@ -183,13 +183,10 @@ def descent_phase(
         elif strategy == "o1_only":
             move = op1_select(s, rng)
         elif strategy == "sequential" or rng.random() < 0.5:
-            move = op1_select(s, rng)
-            if move is None:
-                move = op2_select(s, rng, cap)
+            # A Move is a non-empty tuple, always true: `or` falls back on None.
+            move = op1_select(s, rng) or op2_select(s, rng, cap)
         else:
-            move = op2_select(s, rng, cap)
-            if move is None:
-                move = op1_select(s, rng)
+            move = op2_select(s, rng, cap) or op1_select(s, rng)
         if move is None:
             return
         apply_move(s, move)
@@ -209,12 +206,8 @@ def diversified_phase(
     cleared when the phase ends; a stop of the search leaves it as it is."""
     c_div = 0
     while True:
-        if rng.random() < params.rho:
-            move = op3_select(s, tabu, tracker.f_best, rng)
-        else:
-            move = op4_select(s, rng)
-            if move is None:
-                move = op3_select(s, tabu, tracker.f_best, rng)
+        move = (rng.random() >= params.rho and op4_select(s, rng)) or op3_select(
+            s, tabu, tracker.f_best, rng)
         apply_move(s, move)
         for tr in (move.first, move.second):
             if tr is not None:

@@ -156,6 +156,44 @@ def test_check_unreadable_solution_is_input_error(tri_path, tmp_path, capsys):
     assert f"error: cannot read solution {sol}" in capsys.readouterr().err
 
 
+def test_undecodable_instance_is_input_error(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\n")
+    rc = main(["solve", "--instance", str(bad), "--k", "2"])
+    assert rc == 1
+    assert f"error: cannot read instance {bad}: 'utf-8' codec" in capsys.readouterr().err
+
+
+def test_undecodable_solution_is_input_error(tri_path, tmp_path, capsys):
+    sol = tmp_path / "sol.json"
+    sol.write_bytes(b"\xff\n")
+    rc = main(["check", "--instance", str(tri_path), "--solution", str(sol)])
+    assert rc == 1
+    assert f"error: cannot read solution {sol}: 'utf-8' codec" in capsys.readouterr().err
+
+
+def test_deeply_nested_solution_is_input_error(tri_path, tmp_path, capsys):
+    sol = tmp_path / "sol.json"
+    sol.write_text('{"a":' + "[" * 200000)
+    rc = main(["check", "--instance", str(tri_path), "--solution", str(sol)])
+    assert rc == 1
+    assert f"error: invalid solution {sol}: JSON nested too deeply" in capsys.readouterr().err
+
+
+def test_check_reports_out_of_range_vertices_once(tmp_path, capsys):
+    n = 10**4
+    inst = tmp_path / "path.txt"
+    inst.write_text(f"{n} {n - 1}\n" + "".join(f"{v} {v + 1} 1\n" for v in range(1, n)))
+    sol = tmp_path / "sol.txt"
+    sol.write_text("7\n" * n)
+    rc = main(["check", "--instance", str(inst), "--solution", str(sol), "--k", "2"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == (
+        f"error: vertex 0: subset index 7 out of range 0..1 ({n} of {n} vertices out of range)\n"
+    )
+
+
 def _run_failing(tmp_path, monkeypatch, tri_path, error):
     """Run solve and bench with a run_moh that raises error, each with output
     files; return the exit codes.  A file that existed before is reused."""

@@ -4,6 +4,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from maxkcut import search
 from maxkcut.buckets import apply_single_transfer, init_state
@@ -21,7 +22,7 @@ from maxkcut.search import (
 )
 from maxkcut.tabu import TabuList
 
-from conftest import brute_gain_table, brute_objective, random_graph
+from conftest import assert_coherent, brute_gain_table, brute_objective, random_graph
 
 
 def make_params(**kw):
@@ -473,3 +474,67 @@ def test_run_that_never_beats_its_initial_partition_returns_it():
     assert result.total_iterations > 0
     assert result.trace == [(0.0, 0)]
     assert result.best_partition.assign == initial.assign
+
+
+@st.composite
+def _runs(draw):
+    """A graph with n <= 8 and signed or zero weights, and SearchParams with
+    every value inside its range and a max_rounds stop."""
+    n = draw(st.integers(2, 8))
+    edges = [
+        (u, v, draw(st.integers(-3, 3)))
+        for u in range(n)
+        for v in range(u + 1, n)
+        if draw(st.booleans())
+    ]
+    params = SearchParams(
+        k=draw(st.integers(2, min(4, n))),
+        omega=draw(st.integers(1, 6)),
+        xi=draw(st.integers(1, 2)),  # so that perturbations happen
+        rho=draw(st.floats(0.0, 1.0)),
+        gamma_fraction=draw(st.floats(0.0, 1.0, exclude_min=True)),
+        phi=draw(st.none() | st.floats(0.0, 2.0, exclude_min=True)),
+        time_limit=60.0,
+        max_rounds=draw(st.integers(1, 8)),
+        seed=draw(st.integers(0, 2**32)),
+        descent_strategy=draw(st.sampled_from(search.DESCENT_STRATEGIES)),
+    )
+    return Graph.from_edges(n, edges), params
+
+
+@settings(max_examples=100, deadline=None)
+@given(_runs())
+def test_run_invariants_hold_at_every_phase_boundary(run):
+    g, params = run
+    phases = []
+    noted = [0]  # single transfers the tracker was told of
+
+    def note(tr, s, *transfers, _orig=search._BestTracker.note):
+        noted[0] += sum(t is not None for t in transfers)
+        _orig(tr, s, *transfers)
+
+    def checked(name):
+        def wrapper(*args, _orig=getattr(search, name)):
+            _orig(*args)
+            s, tr = args[0], args[-1]
+            assert_coherent(g, s)
+            # every transfer was noted, so the tracker's best is no worse
+            # than s and is the partition it hands back
+            assert noted[0] == s.iter
+            assert tr.f_best >= s.f
+            assert brute_objective(g, tr.best_assign(s)) == tr.f_best
+            if name == "diversified_phase":
+                assert not args[1].expiry, "tabu list left filled"
+            phases.append(name)
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search._BestTracker, "note", note)
+        for name in ("descent_phase", "diversified_phase", "perturb"):
+            mp.setattr(search, name, checked(name))
+        result = run_moh(g, params)
+    assert phases.count("diversified_phase") == result.rounds <= params.max_rounds
+    assert evaluate(g, result.best_partition) == result.f_best
+    values = [f for _, f in result.trace]
+    assert all(a < b for a, b in zip(values, values[1:]))
+    assert result.f_best <= exact_max_kcut(g, params.k)[0]
