@@ -4,13 +4,14 @@ For each subset i there is a bucket array B_i of 2W+1 cells (W = the largest
 absolute incident weight sum of any vertex, which bounds every gain).  Cell
 ``gain + W`` of B_i is an insertion-ordered set (a dict) of the vertices
 outside S_i whose gain for moving into S_i is ``gain``; the table stores
-that cell index, slot[v][i] = gain + W, not the gain itself.  Once
-SearchState has built the table, apply_single_transfer is its one writer:
-every gain change moves the vertex from cell slot[v][i] to its new cell, so
-a cell read backwards lists its members newest first.  A per-array top
-marker (gmax) is raised eagerly on insertion and lowered lazily on queries.
-cells_descending is the one walk, top cell first; O3 and O4 read each
-cell's members directly.
+that cell index, slot[i][v] = gain + W, not the gain itself, in one list of
+n entries per subset.  A vertex's entry for its own subset is -1, below
+every cell index.  Once SearchState has built the table,
+apply_single_transfer is its one writer: every gain change moves the vertex
+from cell slot[i][v] to its new cell, so a cell read backwards lists its
+members newest first.  A per-array top marker (gmax) is raised eagerly on
+insertion and lowered lazily on queries.  cells_descending is the one walk,
+top cell first; O3 and O4 read each cell's members directly.
 """
 
 from __future__ import annotations
@@ -27,17 +28,27 @@ from .partition import Partition, evaluate
 # Largest bucket table (k arrays of 2W+1 cells) a state may allocate.  Each
 # cell is an empty dict of ~72 bytes, so this is ~0.6 GB.
 MAX_BUCKET_CELLS = 2**23
+# Largest gain table (k columns of n entries) a state may allocate.  With
+# the cell entries and others[] that grow with it, a state built at k = n
+# holds 64-82 bytes per (vertex, subset) pair, so this too is ~0.6 GB.
+MAX_GAIN_ENTRIES = 2**23
 
 
 def check_bucket_cells(g: Graph, k: int) -> None:
     """Raise ValueError when the bucket table of g with k subsets would
-    exceed MAX_BUCKET_CELLS."""
+    exceed MAX_BUCKET_CELLS or its gain table MAX_GAIN_ENTRIES."""
     w = g.max_abs_incident_weight
     cells = k * (2 * w + 1)
     if cells > MAX_BUCKET_CELLS:
         raise ValueError(
             f"bucket table needs k*(2W+1) = {cells} cells (k={k}, W={w}, the largest"
             f" absolute incident weight sum), above the limit of {MAX_BUCKET_CELLS}"
+        )
+    entries = k * g.n
+    if entries > MAX_GAIN_ENTRIES:
+        raise ValueError(
+            f"gain table needs k*n = {entries} entries (k={k}, n={g.n}),"
+            f" above the limit of {MAX_GAIN_ENTRIES}"
         )
 
 
@@ -55,27 +66,25 @@ class SearchState:
         self.offset = off = graph.max_abs_incident_weight
         k = partition.k
         assign = partition.assign
-        # slot[v][x]: off + the gain of moving v into subset x; the entry for
-        # x == assign[v] is meaningless and kept at off (gain 0).  Each cell
-        # receives its members in ascending vertex order.  others[c]: the
-        # subsets other than c, ascending.
+        # slot[x][v]: off + the gain of moving v into subset x, one column
+        # per subset; the entry for x == assign[v] is -1, below every cell
+        # index.  Each cell receives its members in ascending vertex order.
+        # others[c]: the subsets other than c, ascending.
         self.others = others = [[x for x in range(k) if x != c] for c in range(k)]
-        self.slot = slot = []
+        self.slot = slot = [[-1] * graph.n for _ in range(k)]
         self.cells = cells = [[{} for _ in range(2 * off + 1)] for _ in range(k)]
         self.gmax = gmax = [0] * k
         for v, nbs in enumerate(graph.adjacency):
-            row = [0] * k
+            sums = [0] * k
             for nb, w in nbs:
-                row[assign[nb]] += w
+                sums[assign[nb]] += w
             c = assign[v]
-            own = row[c]
-            row[c] = off
+            own = sums[c] + off
             for x in others[c]:
-                row[x] = idx = own - row[x] + off
+                slot[x][v] = idx = own - sums[x]
                 cells[x][idx][v] = None
                 if idx > gmax[x]:
                     gmax[x] = idx
-            slot.append(row)
         self.f = evaluate(graph, partition)
 
     def _true_gmax(self, i: int) -> int:
@@ -105,56 +114,58 @@ init_state = SearchState
 def apply_single_transfer(s: SearchState, v: int, t: int) -> int:
     """Move v into subset t, updating f, gains, and buckets incrementally.
 
-    Returns the realized gain.  Only v's own row and the rows of its
-    neighbors change; each changed entry is shifted to its new bucket cell.
+    Returns the realized gain.  Only the entries of v and of its neighbors
+    change; each changed entry is shifted to its new bucket cell.
     """
     assign = s.partition.assign
     c = assign[v]
     if t == c:
         raise ValueError(f"target subset {t} equals current subset of vertex {v}")
     slot = s.slot
-    row = slot[v]
     cells, gmax = s.cells, s.gmax
     off = s.offset
-    gain = row[t] - off
+    gain = slot[t][v] - off
     s.f += gain
 
-    # Neighbor rows: Delta_{u->y} += w * (-[c_u=c] + [c_u=t] - [y=t] + [y=c]).
+    # Neighbor entries: Delta_{u->y} += w * (-[c_u=c] + [c_u=t] - [y=t] + [y=c]).
     # The coefficient depends only on which of three cases c_u falls in, so
-    # each case's (array, coefficient, cells) plan is built once per move.
-    # Arrays are independent, so any order over y within one neighbor keeps
-    # every cell's member order; neighbors go in adjacency order.
+    # each case's (column, coefficient, cells, array) plan is built once per
+    # move.  Arrays are independent, so any order over y within one neighbor
+    # keeps every cell's member order; neighbors go in adjacency order.
     others = s.others
-    plan_c = [(y, -2 if y == t else -1, cells[y]) for y in others[c]]
-    plan_t = [(y, 2 if y == c else 1, cells[y]) for y in others[t]]
-    plan_other = [(c, 1, cells[c]), (t, -1, cells[t])]
+    plan_c = [(slot[y], -2 if y == t else -1, cells[y], y) for y in others[c]]
+    plan_t = [(slot[y], 2 if y == c else 1, cells[y], y) for y in others[t]]
+    plan_other = [(slot[c], 1, cells[c], c), (slot[t], -1, cells[t], t)]
     for u, w in s.graph.adjacency[v]:
         if w == 0:
             continue
         cu = assign[u]
         plan = plan_c if cu == c else plan_t if cu == t else plan_other
-        urow = slot[u]
-        for y, dd, cy in plan:
-            old = urow[y]
-            urow[y] = new = old + w * dd
+        for col, dd, cy, y in plan:
+            old = col[u]
+            col[u] = new = old + w * dd
             del cy[old][u]
             cy[new][u] = None
             if new > gmax[y]:
                 gmax[y] = new
 
     # Moved vertex: leave B_t; toward every other subset its gain falls by
-    # `gain`, the new origin subset being t instead of c.  That holds for
-    # x = c too, since row[c] is off (gain 0) before the move, but v has no
-    # entry in B_c to delete.  Each shift re-inserts v, also when gain is 0.
-    del cells[t][row[t]][v]
-    row[t] = off
+    # `gain`, the new origin subset being t instead of c.  Toward c, whose
+    # entry was the -1 sentinel, that is off - gain, and v has no entry in
+    # B_c to delete.  Each shift re-inserts v, also when gain is 0.
+    col = slot[t]
+    del cells[t][col[v]][v]
+    col[v] = -1
     assign[v] = t
     for x in others[t]:
-        old = row[x]
-        row[x] = new = old - gain
-        cx = cells[x]
-        if x != c:
+        col, cx = slot[x], cells[x]
+        if x == c:
+            new = off - gain
+        else:
+            old = col[v]
+            new = old - gain
             del cx[old][v]
+        col[v] = new
         cx[new][v] = None
         if new > gmax[x]:
             gmax[x] = new

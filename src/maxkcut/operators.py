@@ -87,15 +87,14 @@ def op2_select(
         i = 3 * j  # where edge j's fields begin
         u, v, w = edges[i], edges[i + 1], edges[i + 2]
         cu, cv = assign[u], assign[v]
-        urow, vrow = slot[u], slot[v]
         # psi(cu, cv, tu, tv) = -[cu=cv] + [tu=cv] - [tu=tv] + [cu=tv]
         psi_cu = -(cu == cv)
         targets_v = targets[cv]
         for tu in targets[cu]:
-            du = urow[tu]
+            du = slot[tu][u]
             psi_tu = psi_cu + (tu == cv)
             for tv in targets_v:
-                gain = du + vrow[tv] + (psi_tu + (cu == tv) - (tu == tv)) * w
+                gain = du + slot[tv][v] + (psi_tu + (cu == tv) - (tu == tv)) * w
                 if gain < best_gain:
                     continue
                 if gain > best_gain:
@@ -169,9 +168,9 @@ def op4_select(s: SearchState, rng: random.Random) -> Move | None:
     compared as cell index sums, a pair's gain + 2*offset.
     """
     assign = s.partition.assign
-    slot = s.slot
     k = s.partition.k
     p, q = sample_below(rng, k, 2)
+    sq = s.slot[q]
 
     best = -math.inf  # no candidate yet: every bound below holds until one is met
     choice: tuple[int, int] | None = None
@@ -224,11 +223,12 @@ def op4_select(s: SearchState, rng: random.Random) -> Move | None:
     # Adjacent pairs: psi(c_u, c_v, p, q) = -[c_u=c_v] + [c_v=p] + [c_u=q]
     # with c_u != p, so psi*w can exceed max|w| only in the swap case
     # c_u = q, c_v = p, where it is at most 2*max|w|.  That per-u bound
-    # floors v's cell index in B_q, slot[v][q], at f_swap (swap) or f_other;
+    # floors v's cell index in B_q, slot[q][v], at f_swap (swap) or f_other;
     # a u whose floor is above the top of B_q is skipped, and the scan ends
     # once even 2*max|w| cannot reach the incumbent.  Skipped pairs are
     # strictly below it, so they would have drawn no random number.  A v in
-    # S_q has a meaningless slot[v][q].
+    # S_q has slot[q][v] = -1, which every floor >= 0 rejects; a floor can
+    # be negative, so cv == q is still tested.
     max_w = s.graph.max_abs_weight
     two_w = 2 * max_w
     # The floors only rise from one B_p cell to the next, so B_q is read
@@ -263,7 +263,7 @@ def op4_select(s: SearchState, rng: random.Random) -> Move | None:
             if v_floor > gq_top:
                 continue
             for v, w in adjacency[u]:
-                svq = slot[v][q]
+                svq = sq[v]
                 if svq < v_floor:
                     continue
                 cv = assign[v]

@@ -56,7 +56,7 @@ def brute_gain_table(g: Graph, k: int, assign) -> dict[tuple[int, int], int]:
 def stored_gain(s: SearchState, v: int, x: int) -> int:
     """The gain of moving v into subset x as the table holds it: the table
     stores the bucket-cell index gain + W, so W is taken off."""
-    return s.slot[v][x] - s.offset
+    return s.slot[x][v] - s.offset
 
 
 def combined_gain(s: SearchState, u: int, t_u: int, v: int, t_v: int) -> int:
@@ -245,10 +245,14 @@ def assert_coherent(g: Graph, s: SearchState) -> None:
     assign = s.partition.assign
     k = s.partition.k
     assert s.f == brute_objective(g, assign)
+    # One column of n entries per subset; a vertex's own-subset entry is -1.
+    assert len(s.slot) == k
+    assert all(len(col) == g.n for col in s.slot)
+    assert all(s.slot[assign[v]][v] == -1 for v in range(g.n))
     expected = brute_gain_table(g, k, assign)
     for (v, x), gain in expected.items():
         assert stored_gain(s, v, x) == gain, f"gain of {v} into {x}"
-        assert v in s.cells[x][s.slot[v][x]], f"{v} not in the cell its slot for {x} names"
+        assert v in s.cells[x][s.slot[x][v]], f"{v} not in the cell its slot for {x} names"
     assert bucket_snapshot(s) == expected
     for i in range(k):
         top = max((idx for idx, cell in enumerate(s.cells[i]) if cell), default=0)

@@ -8,6 +8,7 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 
 from maxkcut.buckets import (
     MAX_BUCKET_CELLS,
+    MAX_GAIN_ENTRIES,
     SearchState,
     apply_single_transfer,
     best_single_transfer,
@@ -51,7 +52,9 @@ def test_init_edgeless_all_zero():
     g = Graph.from_edges(4, [])
     s = init_state(g, Partition(k=3, assign=[0, 1, 2, 0]))
     assert s.f == 0
-    assert all(stored_gain(s, v, x) == 0 for v in range(g.n) for x in range(3))
+    assign = s.partition.assign
+    assert all(stored_gain(s, v, x) == 0 for v in range(g.n) for x in range(3) if x != assign[v])
+    assert all(s.slot[assign[v]][v] == -1 for v in range(g.n))
     for i in range(3):
         assert s._true_gmax(i) == s.offset  # gain 0 cell
 
@@ -102,7 +105,9 @@ def test_edgeless_moves_are_free():
         if t != s.partition.assign[v]:
             assert apply_single_transfer(s, v, t) == 0
     assert s.f == 0
-    assert all(stored_gain(s, v, x) == 0 for v in range(g.n) for x in range(2))
+    assign = s.partition.assign
+    assert all(stored_gain(s, v, x) == 0 for v in range(g.n) for x in range(2) if x != assign[v])
+    assert all(s.slot[assign[v]][v] == -1 for v in range(g.n))
 
 
 def test_extreme_gains_use_the_end_cells():
@@ -186,6 +191,25 @@ def test_huge_weights_rejected_before_allocation():
         SearchState(g, Partition(k=2, assign=[0, 0, 1]))
     with pytest.raises(ValueError, match="bucket table needs"):
         run_moh(g, SearchParams(k=2, max_rounds=1))
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_gain_table_limit_boundary():
+    # edgeless, so the bucket table has k cells; the gain table has k*n entries
+    g = Graph.from_edges(4096, [])
+    check_bucket_cells(g, 2048)  # 8388608 entries
+    with pytest.raises(ValueError, match=f"limit of {MAX_GAIN_ENTRIES}"):
+        check_bucket_cells(g, 2049)  # 8392704 entries
+
+
+def test_large_k_rejected_before_allocation():
+    # k = n = 3000: 9e6 gain-table entries, ~0.7 GB had the state been built
+    g = Graph.from_edges(3000, [])
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="gain table needs"):
+        SearchState(g, Partition(k=3000, assign=list(range(3000))))
+    with pytest.raises(ValueError, match="gain table needs"):
+        run_moh(g, SearchParams(k=3000, max_rounds=1))
     assert time.perf_counter() - t0 < 1.0
 
 

@@ -648,6 +648,21 @@ def test_huge_weights_are_input_error(tmp_path, capsys, command):
     assert "above the limit of 8388608" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["solve", "bench"])
+def test_large_k_is_input_error(tmp_path, capsys, command):
+    inst = tmp_path / "edgeless.txt"
+    inst.write_text("3000 0\n")
+    if command == "solve":
+        argv = ["solve", "--instance", str(inst)]
+    else:
+        argv = ["bench", "--instance", str(inst), "--runs", "1"]
+    t0 = time.perf_counter()
+    rc = main(argv + ["--k", "3000", "--time-limit", "1"])
+    assert time.perf_counter() - t0 < 1.0
+    assert rc == 1
+    assert "gain table needs k*n = 9000000 entries" in capsys.readouterr().err
+
+
 def test_bench_forwards_search_flags(tri_path, tmp_path, monkeypatch):
     import maxkcut.cli
 
