@@ -12,6 +12,24 @@ from cell slot[i][v] to its new cell, so a cell read backwards lists its
 members newest first.  A per-array top marker (gmax) is raised eagerly on
 insertion and lowered lazily on queries.  cells_descending is the one walk,
 top cell first; O3 and O4 read each cell's members directly.
+
+The readers stay near each array's top, so a wide table keeps only those
+cells filled.  When W is at least 20 max|w| (four bands of 5 max|w| cells
+fit in it), each array has a floor low[i]: its cells at or above the floor
+hold their members as described above, and an entry below the floor lives
+only in slot[i], with stamp[i][v], the state's clock value at its last
+shift.  A shift that starts and ends below the floor writes the stamp and
+touches no dict.  _true_gmax and cells_descending, on walking past the
+floor, fill the next band: its entries go into their cells in stamp order,
+which is the order the cells would have received them, and the floor drops
+by one band.  Every reader therefore sees the cells and member orders of a
+fully filled table.  The floor starts one band below each array's top and
+is only lowered.  On the dense benchmark shape (n = 800, k = 4, W ~ 70,
+max|w| = 1) the walks of two 100-round solves read no cell more than 4
+below its array's top, the floors sat 0-8 cells below the tops, and 9 % of
+a target-stopped solve's shifts touched a dict (39 % over 400 rounds).  A
+narrower table has every floor at 0 and no stamps, so the stamp branch
+never runs.
 """
 
 from __future__ import annotations
@@ -30,7 +48,8 @@ from .partition import Partition, evaluate
 MAX_BUCKET_CELLS = 2**23
 # Largest gain table (k columns of n entries) a state may allocate.  With
 # the cell entries and others[] that grow with it, a state built at k = n
-# holds 64-82 bytes per (vertex, subset) pair, so this too is ~0.6 GB.
+# holds 64-82 bytes per (vertex, subset) pair on a narrow table and 96-107
+# on a wide one, whose stamps add 8 (n = 200 and 400), so this is ~0.6-0.9 GB.
 MAX_GAIN_ENTRIES = 2**23
 
 
@@ -44,10 +63,16 @@ def check_bucket_cells(g: Graph, k: int) -> None:
             f"bucket table needs k*(2W+1) = {cells} cells (k={k}, W={w}, the largest"
             f" absolute incident weight sum), above the limit of {MAX_BUCKET_CELLS}"
         )
-    entries = k * g.n
+    check_gain_entries(k, g.n)
+
+
+def check_gain_entries(k: int, n: int) -> None:
+    """Raise ValueError when a gain table of k columns of n entries would
+    exceed MAX_GAIN_ENTRIES; the CLI calls it on an instance's header."""
+    entries = k * n
     if entries > MAX_GAIN_ENTRIES:
         raise ValueError(
-            f"gain table needs k*n = {entries} entries (k={k}, n={g.n}),"
+            f"gain table needs k*n = {entries} entries (k={k}, n={n}),"
             f" above the limit of {MAX_GAIN_ENTRIES}"
         )
 
@@ -56,7 +81,10 @@ class SearchState:
     """Partition plus objective, gain table, and bucket structure, kept
     mutually coherent under apply_single_transfer."""
 
-    __slots__ = ("graph", "partition", "f", "slot", "cells", "gmax", "offset", "iter", "others")
+    __slots__ = (
+        "graph", "partition", "f", "slot", "cells", "gmax", "low", "stamp", "band", "clock",
+        "offset", "iter", "others",
+    )
 
     def __init__(self, graph: Graph, partition: Partition):
         check_bucket_cells(graph, partition.k)
@@ -65,13 +93,14 @@ class SearchState:
         self.iter = 0
         self.offset = off = graph.max_abs_incident_weight
         k = partition.k
+        n = graph.n
         assign = partition.assign
         # slot[x][v]: off + the gain of moving v into subset x, one column
         # per subset; the entry for x == assign[v] is -1, below every cell
         # index.  Each cell receives its members in ascending vertex order.
         # others[c]: the subsets other than c, ascending.
         self.others = others = [[x for x in range(k) if x != c] for c in range(k)]
-        self.slot = slot = [[-1] * graph.n for _ in range(k)]
+        self.slot = slot = [[-1] * n for _ in range(k)]
         self.cells = cells = [[{} for _ in range(2 * off + 1)] for _ in range(k)]
         self.gmax = gmax = [0] * k
         for v, nbs in enumerate(graph.adjacency):
@@ -86,25 +115,66 @@ class SearchState:
                 if idx > gmax[x]:
                     gmax[x] = idx
         self.f = evaluate(graph, partition)
+        # A table of at least four bands keeps only the cells within a band
+        # of each array's top; its entries below the floor take the build
+        # order as their stamps, all below the clock.
+        band = 5 * graph.max_abs_weight
+        self.clock = n
+        if band and off >= 4 * band:
+            self.band = band
+            self.low = [max(0, top - band) for top in gmax]
+            ids = list(range(n))
+            self.stamp = [ids[:] for _ in range(k)]
+            for cx, lo in zip(cells, self.low):
+                for cell in islice(cx, lo):
+                    cell.clear()
+        else:
+            self.band = 0
+            self.low = [0] * k
+            self.stamp = [None] * k
+
+    def _fill(self, i: int) -> int:
+        """Lower B_i's floor by one band, inserting the band's entries in
+        the order they reached their cells; returns the new floor."""
+        hi = self.low[i]
+        self.low[i] = lo = max(0, hi - self.band)
+        col, cells = self.slot[i], self.cells[i]
+        for v in sorted(
+            [v for v, idx in enumerate(col) if lo <= idx < hi], key=self.stamp[i].__getitem__
+        ):
+            cells[col[v]][v] = None
+        return lo
 
     def _true_gmax(self, i: int) -> int:
-        """Lower gmax to the true top non-empty cell; -1 when B_i is empty."""
+        """Lower gmax to the true top non-empty cell, filling bands as the
+        walk passes the floor; -1 when B_i is empty."""
         cells = self.cells[i]
         idx = self.gmax[i]
-        while idx >= 0 and not cells[idx]:
-            idx -= 1
+        lo = self.low[i]
+        while True:
+            while idx >= lo and not cells[idx]:
+                idx -= 1
+            if idx >= lo or not lo:
+                break
+            lo = self._fill(i)
         self.gmax[i] = idx if idx >= 0 else 0
         return idx
 
     def cells_descending(self, i: int) -> Iterator[tuple[int, dict[int, None]]]:
         """(index, cell) for each non-empty cell of B_i, top cell first; a
-        member's gain is index - offset.  The state must not change while
-        this is iterated."""
+        member's gain is index - offset.  Bands are filled as the walk
+        reaches them.  The state must not change while this is iterated."""
         cells = self.cells[i]
-        for idx in range(self._true_gmax(i), -1, -1):
-            cell = cells[idx]
-            if cell:
-                yield idx, cell
+        top = self._true_gmax(i)
+        end = self.low[i]
+        while True:
+            for idx in range(top, end - 1, -1):
+                cell = cells[idx]
+                if cell:
+                    yield idx, cell
+            if not end:
+                return
+            top, end = end - 1, self._fill(i)
 
 
 # perfbench wraps this name to time building a state.
@@ -115,60 +185,101 @@ def apply_single_transfer(s: SearchState, v: int, t: int) -> int:
     """Move v into subset t, updating f, gains, and buckets incrementally.
 
     Returns the realized gain.  Only the entries of v and of its neighbors
-    change; each changed entry is shifted to its new bucket cell.
+    change.  A shifted entry leaves its cell if that lies at or above its
+    array's floor and joins its new cell if that does; one that lands below
+    the floor is stamped with the clock instead.
     """
     assign = s.partition.assign
     c = assign[v]
     if t == c:
         raise ValueError(f"target subset {t} equals current subset of vertex {v}")
-    slot = s.slot
-    cells, gmax = s.cells, s.gmax
+    slot, cells, gmax, low, stamp = s.slot, s.cells, s.gmax, s.low, s.stamp
     off = s.offset
     gain = slot[t][v] - off
     s.f += gain
 
     # Neighbor entries: Delta_{u->y} += w * (-[c_u=c] + [c_u=t] - [y=t] + [y=c]).
-    # The coefficient depends only on which of three cases c_u falls in, so
-    # each case's (column, coefficient, cells, array) plan is built once per
-    # move.  Arrays are independent, so any order over y within one neighbor
-    # keeps every cell's member order; neighbors go in adjacency order.
-    others = s.others
-    plan_c = [(slot[y], -2 if y == t else -1, cells[y], y) for y in others[c]]
-    plan_t = [(slot[y], 2 if y == c else 1, cells[y], y) for y in others[t]]
-    plan_other = [(slot[c], 1, cells[c], c), (slot[t], -1, cells[t], t)]
-    for u, w in s.graph.adjacency[v]:
+    # By the case c_u falls in, that is dc toward c, dt toward t and dr
+    # toward every other subset (rest); a zero delta marks u's own subset or
+    # entries that keep their gain.  Arrays are independent, so any order
+    # over y within one neighbor keeps every cell's member order; neighbors
+    # go in adjacency order, each stamped with its own clock value.
+    col_c, cells_c, st_c, lo_c, top_c = slot[c], cells[c], stamp[c], low[c], gmax[c]
+    col_t, cells_t, st_t, lo_t, top_t = slot[t], cells[t], stamp[t], low[t], gmax[t]
+    rest = [(slot[y], cells[y], stamp[y], low[y], y) for y in s.others[c] if y != t]
+    adjacency = s.graph.adjacency[v]
+    clock = s.clock
+    for now, (u, w) in enumerate(adjacency, clock):
         if w == 0:
             continue
         cu = assign[u]
-        plan = plan_c if cu == c else plan_t if cu == t else plan_other
-        for col, dd, cy, y in plan:
-            old = col[u]
-            col[u] = new = old + w * dd
-            del cy[old][u]
-            cy[new][u] = None
-            if new > gmax[y]:
-                gmax[y] = new
+        if cu == c:
+            dc, dt, dr = 0, -2 * w, -w
+        elif cu == t:
+            dc, dt, dr = 2 * w, 0, w
+        else:
+            dc, dt, dr = w, -w, 0
+        if dc:
+            old = col_c[u]
+            col_c[u] = new = old + dc
+            if old >= lo_c:
+                del cells_c[old][u]
+            if new >= lo_c:
+                cells_c[new][u] = None
+                if new > top_c:
+                    top_c = new
+            else:
+                st_c[u] = now
+        if dt:
+            old = col_t[u]
+            col_t[u] = new = old + dt
+            if old >= lo_t:
+                del cells_t[old][u]
+            if new >= lo_t:
+                cells_t[new][u] = None
+                if new > top_t:
+                    top_t = new
+            else:
+                st_t[u] = now
+        if dr:
+            for col, cy, st, lo, y in rest:
+                old = col[u]
+                col[u] = new = old + dr
+                if old >= lo:
+                    del cy[old][u]
+                if new >= lo:
+                    cy[new][u] = None
+                    if new > gmax[y]:
+                        gmax[y] = new
+                else:
+                    st[u] = now
+    gmax[c] = top_c
+    gmax[t] = top_t
+    now = clock + len(adjacency)
+    s.clock = now + 1
 
     # Moved vertex: leave B_t; toward every other subset its gain falls by
     # `gain`, the new origin subset being t instead of c.  Toward c, whose
-    # entry was the -1 sentinel, that is off - gain, and v has no entry in
-    # B_c to delete.  Each shift re-inserts v, also when gain is 0.
-    col = slot[t]
-    del cells[t][col[v]][v]
-    col[v] = -1
+    # entry was the -1 sentinel, below every floor, that is off - gain.
+    # Each shift re-inserts v, also when gain is 0.
+    old = col_t[v]
+    if old >= lo_t:
+        del cells_t[old][v]
+    col_t[v] = -1
     assign[v] = t
-    for x in others[t]:
-        col, cx = slot[x], cells[x]
-        if x == c:
-            new = off - gain
-        else:
-            old = col[v]
-            new = old - gain
-            del cx[old][v]
+    for x in s.others[t]:
+        col = slot[x]
+        old = col[v]
+        new = off - gain if x == c else old - gain
+        if old >= low[x]:
+            del cells[x][old][v]
         col[v] = new
-        cx[new][v] = None
-        if new > gmax[x]:
-            gmax[x] = new
+        if new >= low[x]:
+            cells[x][new][v] = None
+            if new > gmax[x]:
+                gmax[x] = new
+        else:
+            stamp[x][v] = now
 
     s.iter += 1
     return gain

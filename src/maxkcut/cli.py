@@ -12,8 +12,10 @@ import os
 import statistics
 import sys
 from collections.abc import Iterable
+from functools import partial
 from pathlib import Path
 
+from .buckets import check_gain_entries
 from .graph import Graph, GraphFormatError, parse_instance
 from .oracle import OracleGuardError, exact_max_kcut
 from .partition import (
@@ -46,15 +48,20 @@ class InputError(Exception):
     pass
 
 
-def _load_instance(path: str) -> Graph:
+def _load_instance(path: str, k: int | None = None) -> Graph:
+    """The graph of an instance file.  With k given, an instance whose gain
+    table (k*n entries) is above its limit is refused from its header,
+    before the graph is built."""
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as e:
         raise InputError(f"cannot read instance {path}: {e}") from e
     try:
-        return parse_instance(text)
+        return parse_instance(text, None if k is None else partial(check_gain_entries, k))
     except GraphFormatError as e:
         raise InputError(f"invalid instance {path}: {e}") from e
+    except ValueError as e:
+        raise InputError(str(e)) from e
 
 
 def _params_from_args(g: Graph, args, seed: int, rho: float, strategy: str) -> SearchParams:
@@ -105,7 +112,7 @@ def _check_writable(*paths: str | None, inputs: Iterable[str] = ()) -> None:
 
 
 def cmd_solve(args) -> int:
-    g = _load_instance(args.instance)
+    g = _load_instance(args.instance, args.k)
     params = _params_from_args(g, args, args.seed, args.rho, args.strategy)
     _check_writable(args.solution_out, args.trace_out, inputs=[args.instance])
     result = run_moh(g, params)
@@ -148,7 +155,7 @@ def cmd_bench(args) -> int:
     run_graphs: list[Graph] = []
     run_params: list[SearchParams] = []
     for path in args.instance:
-        g = _load_instance(path)
+        g = _load_instance(path, args.k)
         for strategy in strategies:
             for rho in rhos:
                 cells.append((Path(path).name, g, strategy, rho))

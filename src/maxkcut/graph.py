@@ -7,6 +7,7 @@ stored 0-indexed internally.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from operator import index
 
@@ -129,13 +130,15 @@ def triples(flat: tuple[int, ...]):
     return zip(it, it, it)
 
 
-def parse_instance(text: str) -> Graph:
+def parse_instance(text: str, check_n: Callable[[int], None] | None = None) -> Graph:
     """Parse G-set edge-list text into a Graph.
 
     Blank lines are ignored.  Malformed headers or edge lines, out-of-range
     or duplicate edges, self-loops, and edge-count mismatches raise
     GraphFormatError with the 1-based line number; a malformed edge line
-    is reported before any edge check.
+    is reported before any edge check.  check_n, when given, is called with
+    the header's vertex count before anything of that size is allocated;
+    what it raises propagates.
     """
     numbered = enumerate(text.splitlines(), 1)
     for lineno, raw in numbered:  # lineno: the line last read, where an error is
@@ -149,6 +152,8 @@ def parse_instance(text: str) -> Graph:
         raise GraphFormatError("malformed header, expected 'n m'", lineno) from None
     if n < 0 or m < 0:
         raise GraphFormatError("negative count in header", lineno)
+    if check_n is not None:
+        check_n(n)
 
     def edge_lines():
         nonlocal lineno

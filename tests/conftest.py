@@ -72,20 +72,19 @@ def combined_gain(s: SearchState, u: int, t_u: int, v: int, t_v: int) -> int:
 
 def reference_op3_select(s: SearchState, tabu, f_best: int, rng: random.Random) -> Move:
     """O3 as first written: one tabu test per member of each array's top
-    admissible cell, read straight off s.cells.  operators.op3_select must
-    return the same move and leave rng in the same state."""
+    admissible cell, read cell by cell off s.cells_descending.
+    operators.op3_select must return the same move and leave rng in the
+    same state."""
     best: int | None = None
     per_array: dict[int, list[int]] = {}
-    for i, cells in enumerate(s.cells):
-        for idx in range(len(cells) - 1, -1, -1):
-            if not cells[idx]:
-                continue
+    for i in range(s.partition.k):
+        for idx, cell in s.cells_descending(i):
             gain = idx - s.offset
             if best is not None and gain < best:
                 break
             admissible = [
                 v
-                for v in reversed(cells[idx])
+                for v in reversed(cell)
                 if not tabu.is_forbidden(v, i, s.iter) or s.f + gain > f_best
             ]
             if admissible:
@@ -228,14 +227,22 @@ def reference_op4_select(s: SearchState, rng: random.Random) -> Move | None:
 
 
 def bucket_snapshot(s: SearchState) -> dict[tuple[int, int], int]:
-    """Map of (vertex, array) -> gain read off the bucket cells, with
-    structural checks (2W+1 cells per array, no vertex twice in one array)."""
+    """Map of (vertex, array) -> gain read off the bucket cells at or above
+    each array's floor and off the gain table below it, with structural
+    checks (2W+1 cells per array, no cell below the floor filled, no vertex
+    twice in one array)."""
     snapshot = {}
     for i, cells in enumerate(s.cells):
         assert len(cells) == 2 * s.offset + 1, f"array {i} has {len(cells)} cells"
+        low = s.low[i]
+        assert not any(cells[:low]), f"array {i} has a cell filled below its floor"
         for idx, cell in enumerate(cells):
             for v in cell:
                 assert (v, i) not in snapshot, f"vertex {v} duplicated in array {i}"
+                snapshot[(v, i)] = idx - s.offset
+        for v, idx in enumerate(s.slot[i]):
+            if 0 <= idx < low:
+                assert (v, i) not in snapshot, f"vertex {v} of array {i} below the floor and in a cell"
                 snapshot[(v, i)] = idx - s.offset
     return snapshot
 
@@ -252,11 +259,104 @@ def assert_coherent(g: Graph, s: SearchState) -> None:
     expected = brute_gain_table(g, k, assign)
     for (v, x), gain in expected.items():
         assert stored_gain(s, v, x) == gain, f"gain of {v} into {x}"
-        assert v in s.cells[x][s.slot[x][v]], f"{v} not in the cell its slot for {x} names"
+        idx = s.slot[x][v]
+        if idx >= s.low[x]:
+            assert v in s.cells[x][idx], f"{v} not in the cell its slot for {x} names"
     assert bucket_snapshot(s) == expected
     for i in range(k):
         top = max((idx for idx, cell in enumerate(s.cells[i]) if cell), default=0)
         assert s.gmax[i] >= top, f"gmax of array {i} below its top cell"
+        assert s.gmax[i] >= s.low[i], f"gmax of array {i} below its floor"
+
+
+class EagerState:
+    """The gain table as first written, every entry in its cell at all
+    times: the reference that SearchState's floors are checked against.
+    Built and updated as SearchState was before it had floors; it offers
+    what best_single_transfer and O1-O4 read."""
+
+    def __init__(self, graph: Graph, partition):
+        self.graph = graph
+        self.partition = partition
+        self.iter = 0
+        self.offset = off = graph.max_abs_incident_weight
+        k = partition.k
+        assign = partition.assign
+        self.others = others = [[x for x in range(k) if x != c] for c in range(k)]
+        self.slot = slot = [[-1] * graph.n for _ in range(k)]
+        self.cells = cells = [[{} for _ in range(2 * off + 1)] for _ in range(k)]
+        self.gmax = gmax = [0] * k
+        for v, nbs in enumerate(graph.adjacency):
+            sums = [0] * k
+            for nb, w in nbs:
+                sums[assign[nb]] += w
+            c = assign[v]
+            own = sums[c] + off
+            for x in others[c]:
+                slot[x][v] = idx = own - sums[x]
+                cells[x][idx][v] = None
+                if idx > gmax[x]:
+                    gmax[x] = idx
+        self.f = brute_objective(graph, assign)
+
+    def _true_gmax(self, i):
+        cells = self.cells[i]
+        idx = self.gmax[i]
+        while idx >= 0 and not cells[idx]:
+            idx -= 1
+        self.gmax[i] = idx if idx >= 0 else 0
+        return idx
+
+    def cells_descending(self, i):
+        cells = self.cells[i]
+        for idx in range(self._true_gmax(i), -1, -1):
+            cell = cells[idx]
+            if cell:
+                yield idx, cell
+
+
+def eager_apply_single_transfer(s: EagerState, v: int, t: int) -> int:
+    """apply_single_transfer as first written, on an EagerState: every
+    shifted entry leaves its cell and joins its new one."""
+    assign = s.partition.assign
+    c = assign[v]
+    slot, cells, gmax, off = s.slot, s.cells, s.gmax, s.offset
+    gain = slot[t][v] - off
+    s.f += gain
+    others = s.others
+    plan_c = [(slot[y], -2 if y == t else -1, cells[y], y) for y in others[c]]
+    plan_t = [(slot[y], 2 if y == c else 1, cells[y], y) for y in others[t]]
+    plan_other = [(slot[c], 1, cells[c], c), (slot[t], -1, cells[t], t)]
+    for u, w in s.graph.adjacency[v]:
+        if w == 0:
+            continue
+        cu = assign[u]
+        plan = plan_c if cu == c else plan_t if cu == t else plan_other
+        for col, dd, cy, y in plan:
+            old = col[u]
+            col[u] = new = old + w * dd
+            del cy[old][u]
+            cy[new][u] = None
+            if new > gmax[y]:
+                gmax[y] = new
+    col = slot[t]
+    del cells[t][col[v]][v]
+    col[v] = -1
+    assign[v] = t
+    for x in others[t]:
+        col, cx = slot[x], cells[x]
+        if x == c:
+            new = off - gain
+        else:
+            old = col[v]
+            new = old - gain
+            del cx[old][v]
+        col[v] = new
+        cx[new][v] = None
+        if new > gmax[x]:
+            gmax[x] = new
+    s.iter += 1
+    return gain
 
 
 @pytest.fixture

@@ -56,17 +56,18 @@ O1O2_PAPER_BEST = {
 
 
 def _verify_placement(g, s):
-    """O(nk) coherence check: every gain entry exact, every (v, i) in the
-    bucket cell of its gain, and no other entry in array i, so no vertex
-    sits twice in one array."""
+    """O(nk) coherence check: every gain entry exact, every (v, i) at or
+    above array i's floor in the bucket cell of its gain, and no other entry
+    in array i, so no vertex sits twice in one array."""
     assign = s.partition.assign
     k = s.partition.k
     expected = brute_gain_table(g, k, assign)
     for (v, i), gain in expected.items():
         assert stored_gain(s, v, i) == gain
-        assert v in s.cells[i][gain + s.offset]
+        if gain + s.offset >= s.low[i]:
+            assert v in s.cells[i][gain + s.offset]
     for i in range(k):
-        entries = sum(map(len, s.cells[i]))
+        entries = sum(map(len, s.cells[i])) + sum(1 for idx in s.slot[i] if 0 <= idx < s.low[i])
         assert entries == sum(1 for a in assign if a != i)
 
 

@@ -29,10 +29,12 @@ from maxkcut.search import SearchParams, run_moh
 from maxkcut.tabu import TabuList
 
 from conftest import (
+    EagerState,
     assert_coherent,
     brute_gain_table,
     brute_objective,
     bucket_snapshot,
+    eager_apply_single_transfer,
     random_graph,
     stored_gain,
 )
@@ -405,3 +407,77 @@ GainTableMachine.TestCase.settings = settings(
     max_examples=150, stateful_step_count=40, deadline=None
 )
 test_gain_table_state_machine = GainTableMachine.TestCase
+
+
+def _assert_lockstep(s, ref):
+    """s holds ref's table: equal slots and f, every cell at or above its
+    array's floor equal to ref's, member order included, and the entries
+    below the floor, grouped by cell in stamp order, equal to ref's cells."""
+    assert s.f == ref.f
+    assert s.slot == ref.slot
+    for i, cells in enumerate(s.cells):
+        low = s.low[i]
+        ref_cells = [list(cell) for cell in ref.cells[i]]
+        assert [list(cell) for cell in cells[low:]] == ref_cells[low:]
+        below = [[] for _ in range(low)]
+        col = s.slot[i]
+        for v in sorted(range(len(col)), key=s.stamp[i].__getitem__):
+            if 0 <= col[v] < low:
+                below[col[v]].append(v)
+        assert below == ref_cells[:low]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    max_w=st.sampled_from([1, 2]),
+    k=st.integers(2, 4),
+    bursts=st.lists(st.integers(0, 80), min_size=1, max_size=4),
+)
+def test_floors_move_in_lockstep_with_the_eager_table(seed, max_w, k, bursts):
+    # Bursts of random transfers lift the tops above the floors; each O1
+    # descent after one lowers them again, so walks fill bands.  O1, O3 and
+    # O4 must draw the same moves from both tables.
+    rng = random.Random(seed)
+    g = random_graph(rng, 30 + 30 * max_w, 0.6, -max_w, max_w)
+    assert g.max_abs_incident_weight >= 20 * g.max_abs_weight  # the table keeps floors
+    assign = [rng.randrange(k) for _ in range(g.n)]
+    s = SearchState(g, Partition(k=k, assign=assign))
+    ref = EagerState(g, Partition(k=k, assign=list(assign)))
+    low0 = list(s.low)
+    assert max(low0) > 0
+    _assert_lockstep(s, ref)
+
+    def transfer(v, t):
+        assert apply_single_transfer(s, v, t) == eager_apply_single_transfer(ref, v, t)
+        _assert_lockstep(s, ref)
+
+    def same_draw(select, *args):
+        draw = rng.getrandbits(32)
+        a, b = random.Random(draw), random.Random(draw)
+        move = select(s, *args, a)
+        assert move == select(ref, *args, b)
+        assert a.getstate() == b.getstate()
+        return move
+
+    for burst in bursts:
+        for _ in range(burst):
+            v = rng.randrange(g.n)
+            t = rng.randrange(k - 1)
+            transfer(v, t + (t >= s.partition.assign[v]))
+        for _ in range(500):
+            v, t, gain = same_draw(best_single_transfer)
+            if gain <= 0:
+                break
+            transfer(v, t)
+        same_draw(op3_select, TabuList(g.n), s.f)
+        move = same_draw(op4_select)
+        if move is not None:
+            for tr in (move.first, move.second):
+                transfer(tr.vertex, tr.target)
+    assert any(lo < lo0 for lo, lo0 in zip(s.low, low0)), "no walk filled a band"
+    for i in range(k):
+        list(s.cells_descending(i))
+    assert [[list(cell) for cell in cells] for cells in s.cells] == [
+        [list(cell) for cell in cells] for cells in ref.cells
+    ]

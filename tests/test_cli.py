@@ -663,6 +663,26 @@ def test_large_k_is_input_error(tmp_path, capsys, command):
     assert "gain table needs k*n = 9000000 entries" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["solve", "bench"])
+def test_large_k_is_refused_from_the_header(tmp_path, capsys, command):
+    # n = 10^6 and k = 9: the header alone rules the gain table out, so
+    # nothing of size n is allocated, the graph included (~100 MB).
+    import tracemalloc
+
+    inst = tmp_path / "header-only.txt"
+    inst.write_text("1000000 0\n")
+    extra = ["--runs", "1"] if command == "bench" else []
+    tracemalloc.start()
+    try:
+        rc = main([command, "--instance", str(inst), "--k", "9", *extra])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 1
+    assert "above the limit of 8388608" in capsys.readouterr().err
+    assert peak < 4 * 2**20
+
+
 def test_bench_forwards_search_flags(tri_path, tmp_path, monkeypatch):
     import maxkcut.cli
 

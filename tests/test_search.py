@@ -355,11 +355,21 @@ MOVE_DIGESTS = {
     (4, "o1_only"): ("2e2654f9bf6dc2912b5474d3fad653f4e9127f0eaeba03c0d15997d345bc947f", 339, 5197),
     (4, "union"): ("488172e9e3593ee9959a090b8413dc093f5931efe86145cbb02ae623de07993d", 339, 7537),
     (4, "random_mix"): ("511a018bca6b223d7e1a78eed1d248f3e6306b19fd63ecb90fcb186861b87300", 339, 5419),
+    # (k, "wide"): the sequential strategy on a 150-vertex graph of weights
+    # -1, 0 and 1, whose W = 44 is at least 20 max|w|, so its bucket arrays
+    # keep floors; the cases above all have W < 20 max|w|.
+    (2, "wide"): ("50d1fe2bd73162ef36f13ce3d48d35957900d0b796b9de3d50a014d09e6f7991", 314, 3094),
+    (3, "wide"): ("9c1d3b54e824d50ec2b029294edd1ac87573a46a75dc66de1056dad8ae011730", 367, 1132),
+    (4, "wide"): ("4b29a2cb8d56d5fcef14e3594428eacd05fa4124664e49dd06e0c07a584e10f3", 362, 968),
 }
 
 
 def _digest_case(k, strategy):
-    g = random_graph(random.Random(1510), 40, 0.3)
+    if strategy == "wide":
+        g = random_graph(random.Random(1510), 150, 0.3, -1, 1)
+        strategy = "sequential"
+    else:
+        g = random_graph(random.Random(1510), 40, 0.3)
     params = SearchParams(k=k, seed=7, max_rounds=20, xi=2, time_limit=600.0,
                           descent_strategy=strategy)
     return g, params
@@ -368,14 +378,18 @@ def _digest_case(k, strategy):
 @functools.cache
 def _digest_run(k, strategy):
     """One search of a digest case, shared by the move and best-partition
-    digest tests: (move digest, f_best, total_iterations, best digest)."""
+    digest tests: (move digest, f_best, total_iterations, best digest, the
+    highest floor of any bucket array met at a move)."""
     import maxkcut.operators as operators
 
     moves = []
+    floor = 0
     apply = operators.apply_single_transfer
 
     def record(s, v, t):
+        nonlocal floor
         moves.append(f"{v}:{t}")
+        floor = max(floor, *s.low)
         return apply(s, v, t)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -383,13 +397,22 @@ def _digest_run(k, strategy):
         result = run_moh(*_digest_case(k, strategy))
     digest = hashlib.sha256(",".join(moves).encode()).hexdigest()
     best = hashlib.sha256(bytes(result.best_partition.assign)).hexdigest()
-    return digest, result.f_best, result.total_iterations, best
+    return digest, result.f_best, result.total_iterations, best, floor
 
 
 @pytest.mark.parametrize("strategy", ["sequential", "o1_only", "union", "random_mix"])
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_move_sequence_digest(k, strategy):
     assert _digest_run(k, strategy)[:3] == MOVE_DIGESTS[(k, strategy)]
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_move_sequence_digest_with_floors(k):
+    # The run must use a floor, or these cases would not check that floors
+    # change no move.
+    run = _digest_run(k, "wide")
+    assert run[:3] == MOVE_DIGESTS[(k, "wide")]
+    assert run[4] > 0
 
 
 # SHA-256 of best_partition.assign (one byte a vertex) for the MOVE_DIGESTS
@@ -408,10 +431,13 @@ BEST_DIGESTS = {
     (4, "o1_only"): "5e4b03416b698fd1d46c7913731794b7fe9dd70ddffc20c99a8dbd5543ca9144",
     (4, "union"): "2e7bddab893aa8c4937927c4fe95e3ebb3857a8b17e6c73a2ae5950f77d8a7e2",
     (4, "random_mix"): "dc15b3155b8b771b6914076ae57ac03daf81a8d656b4a0a887fa225580f80657",
+    (2, "wide"): "e839ba2e0ad18acd6ddd7f3f5407cfc1782bf601b5c5669d557bbab65c685f9f",
+    (3, "wide"): "15d7b35af7c52237512c9f1c38cfd59e028523ec50407e28ae3580860972fb35",
+    (4, "wide"): "4c6379190e79a2f490339a16366c02ee581cae2750a06bd8f1c7919bd8125408",
 }
 
 
-@pytest.mark.parametrize("strategy", ["sequential", "o1_only", "union", "random_mix"])
+@pytest.mark.parametrize("strategy", ["sequential", "o1_only", "union", "random_mix", "wide"])
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_best_partition_digest(k, strategy):
     assert _digest_run(k, strategy)[3] == BEST_DIGESTS[(k, strategy)]
