@@ -210,8 +210,6 @@ def apply_single_transfer(s: SearchState, v: int, t: int) -> int:
     adjacency = s.graph.adjacency[v]
     clock = s.clock
     for now, (u, w) in enumerate(adjacency, clock):
-        if w == 0:
-            continue
         cu = assign[u]
         if cu == c:
             dc, dt, dr = 0, -2 * w, -w

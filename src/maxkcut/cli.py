@@ -11,13 +11,13 @@ import io
 import os
 import statistics
 import sys
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from functools import partial
 from pathlib import Path
 
 from .buckets import check_gain_entries
 from .graph import Graph, GraphFormatError, parse_instance
-from .oracle import OracleGuardError, exact_max_kcut
+from .oracle import OracleGuardError, check_oracle_input, exact_max_kcut
 from .partition import (
     Partition,
     evaluate,
@@ -48,18 +48,20 @@ class InputError(Exception):
     pass
 
 
-def _load_instance(path: str, k: int | None = None) -> Graph:
-    """The graph of an instance file.  With k given, an instance whose gain
-    table (k*n entries) is above its limit is refused from its header,
-    before the graph is built."""
+def _load_instance(path: str, check_n: Callable[[int], None] | None = None) -> Graph:
+    """The graph of an instance file.  check_n, when given, is called with
+    the vertex count of the header, before the graph is built; the
+    ValueError it raises is an input error."""
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as e:
         raise InputError(f"cannot read instance {path}: {e}") from e
     try:
-        return parse_instance(text, None if k is None else partial(check_gain_entries, k))
+        return parse_instance(text, check_n)
     except GraphFormatError as e:
         raise InputError(f"invalid instance {path}: {e}") from e
+    except OracleGuardError as e:
+        raise InputError(f"{e}; use --force to override") from e
     except ValueError as e:
         raise InputError(str(e)) from e
 
@@ -112,7 +114,7 @@ def _check_writable(*paths: str | None, inputs: Iterable[str] = ()) -> None:
 
 
 def cmd_solve(args) -> int:
-    g = _load_instance(args.instance, args.k)
+    g = _load_instance(args.instance, partial(check_gain_entries, args.k))
     params = _params_from_args(g, args, args.seed, args.rho, args.strategy)
     _check_writable(args.solution_out, args.trace_out, inputs=[args.instance])
     result = run_moh(g, params)
@@ -155,7 +157,7 @@ def cmd_bench(args) -> int:
     run_graphs: list[Graph] = []
     run_params: list[SearchParams] = []
     for path in args.instance:
-        g = _load_instance(path, args.k)
+        g = _load_instance(path, partial(check_gain_entries, args.k))
         for strategy in strategies:
             for rho in rhos:
                 cells.append((Path(path).name, g, strategy, rho))
@@ -240,16 +242,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    g = _load_instance(args.instance)
-    kwargs = {}
-    if args.force:
-        kwargs = {"max_n": g.n, "max_k": args.k}
-    try:
-        opt, p = exact_max_kcut(g, args.k, **kwargs)
-    except OracleGuardError as e:
-        raise InputError(f"{e}; use --force to override") from e
-    except ValueError as e:
-        raise InputError(str(e)) from e
+    g = _load_instance(args.instance, partial(check_oracle_input, args.k, force=args.force))
+    opt, p = exact_max_kcut(g, args.k, args.force)
     print(f"optimum: {opt}")
     print(f"assign: {' '.join(str(s) for s in p.assign)}")
     return 0

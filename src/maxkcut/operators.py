@@ -33,23 +33,6 @@ class Move(NamedTuple):
     second: Transfer | None = None
 
 
-def psi(c_u: int, c_v: int, t_u: int, t_v: int) -> int:
-    """Interaction coefficient of a double transfer sharing an edge.
-
-    Indicator form -[c_u=c_v] + [t_u=c_v] - [t_u=t_v] + [c_u=t_v]; equal to
-    the seven-case definition on every admissible input.  O2 and O4 compute
-    this form inline; the tests check them against this function.
-    """
-    if t_u == c_u or t_v == c_v:
-        raise ValueError("double-transfer targets must differ from current subsets")
-    return (
-        -(1 if c_u == c_v else 0)
-        + (1 if t_u == c_v else 0)
-        - (1 if t_u == t_v else 0)
-        + (1 if c_u == t_v else 0)
-    )
-
-
 def apply_move(s: SearchState, move: Move) -> None:
     apply_single_transfer(s, move.first.vertex, move.first.target)
     if move.second is not None:

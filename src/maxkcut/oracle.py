@@ -8,34 +8,37 @@ from __future__ import annotations
 from .graph import Graph, triples
 from .partition import Partition
 
-DEFAULT_MAX_N = 16
-DEFAULT_MAX_K = 4
+MAX_N = 16
+MAX_K = 4
 
 
 class OracleGuardError(ValueError):
     pass
 
 
-def exact_max_kcut(
-    g: Graph,
-    k: int,
-    max_n: int = DEFAULT_MAX_N,
-    max_k: int = DEFAULT_MAX_K,
-) -> tuple[int, Partition]:
+def check_oracle_input(k: int, n: int, force: bool = False) -> None:
+    """Raise ValueError for k < 2 and, unless forced, OracleGuardError when
+    n > MAX_N or k > MAX_K.  The CLI calls it on an instance's header,
+    before the graph is built."""
+    if k < 2:
+        raise ValueError("k must be >= 2")
+    exceeded = [f"{name}={value} > max_{name}={bound}" for name, value, bound
+                in (("n", n, MAX_N), ("k", k, MAX_K)) if value > bound]
+    if exceeded and not force:
+        raise OracleGuardError(
+            "instance too large for exhaustive search: " + " and ".join(exceeded))
+
+
+def exact_max_kcut(g: Graph, k: int, force: bool = False) -> tuple[int, Partition]:
     """Optimum objective and one optimal partition.
 
     Vertex 0 is pinned to subset 0 and new labels are introduced in
     increasing order, which enumerates each labeling orbit once (the
     objective is invariant under subset relabeling).  Empty subsets are
-    permitted, so the optimum is monotone non-decreasing in k.
+    permitted, so the optimum is monotone non-decreasing in k.  Raises as
+    check_oracle_input does; force lifts the size guard.
     """
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    exceeded = [f"{name}={value} > max_{name}={bound}" for name, value, bound
-                in (("n", g.n, max_n), ("k", k, max_k)) if value > bound]
-    if exceeded:
-        raise OracleGuardError(
-            "instance too large for exhaustive search: " + " and ".join(exceeded))
+    check_oracle_input(k, g.n, force)
     n = g.n
     if n == 0:
         return 0, Partition(k=k, assign=[])

@@ -18,7 +18,7 @@ import pytest
 
 from maxkcut.buckets import SearchState, best_single_transfer
 from maxkcut.graph import Graph, triples
-from maxkcut.operators import _O4_TIE_BUDGET, Move, Transfer, psi
+from maxkcut.operators import _O4_TIE_BUDGET, Move, Transfer
 
 
 def random_graph(
@@ -57,6 +57,23 @@ def stored_gain(s: SearchState, v: int, x: int) -> int:
     """The gain of moving v into subset x as the table holds it: the table
     stores the bucket-cell index gain + W, so W is taken off."""
     return s.slot[x][v] - s.offset
+
+
+def psi(c_u: int, c_v: int, t_u: int, t_v: int) -> int:
+    """Interaction coefficient of a double transfer sharing an edge.
+
+    Indicator form -[c_u=c_v] + [t_u=c_v] - [t_u=t_v] + [c_u=t_v]; equal to
+    the seven-case definition on every admissible input.  O2 and O4 compute
+    this form inline; the tests check them against this reference.
+    """
+    if t_u == c_u or t_v == c_v:
+        raise ValueError("double-transfer targets must differ from current subsets")
+    return (
+        -(1 if c_u == c_v else 0)
+        + (1 if t_u == c_v else 0)
+        - (1 if t_u == t_v else 0)
+        + (1 if c_u == t_v else 0)
+    )
 
 
 def combined_gain(s: SearchState, u: int, t_u: int, v: int, t_v: int) -> int:

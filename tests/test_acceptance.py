@@ -19,7 +19,6 @@ import pytest
 from maxkcut.buckets import apply_single_transfer, init_state
 from maxkcut.cli import main
 from maxkcut.graph import Graph, parse_instance
-from maxkcut.operators import psi
 from maxkcut.oracle import exact_max_kcut
 from maxkcut.partition import Partition, evaluate
 from maxkcut.search import SearchParams, run_moh
@@ -29,6 +28,7 @@ from conftest import (
     brute_objective,
     bucket_snapshot,
     combined_gain,
+    psi,
     random_graph,
     require_gset,
     stored_gain,
@@ -230,7 +230,7 @@ def test_criterion_5_ablation_direction(capsys):
 def test_criterion_6_determinism(tmp_path, capsys):
     rng = random.Random(404)
     g = random_graph(rng, 12, 0.5, -5, 5)
-    opt, _ = exact_max_kcut(g, 2, max_n=12)
+    opt, _ = exact_max_kcut(g, 2)
     path = tmp_path / "inst.txt"
     from maxkcut.graph import write_instance
 

@@ -452,6 +452,37 @@ def test_oracle_k_below_two_is_input_error(tri_path, capsys):
     assert "error: k must be >= 2" in capsys.readouterr().err
 
 
+def test_oracle_is_refused_from_the_header(tmp_path, capsys):
+    # n = 10^6 is above the enumeration guard: the header alone rules it
+    # out, so the graph (~100 MB) is never built.
+    import tracemalloc
+
+    inst = tmp_path / "header-only.txt"
+    inst.write_text("1000000 0\n")
+    t0 = time.perf_counter()
+    tracemalloc.start()
+    try:
+        rc = main(["oracle", "--instance", str(inst), "--k", "2"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - t0 < 1.0
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: instance too large for exhaustive search: n=1000000 > max_n=16;"
+        " use --force to override\n"
+    )
+    assert peak <= 2**20
+
+
+@pytest.mark.parametrize("force", [[], ["--force"]], ids=["guarded", "forced"])
+def test_oracle_reports_k_below_two_before_the_size_guard(tmp_path, capsys, force):
+    path = tmp_path / "big.txt"
+    path.write_text(write_instance(random_graph(random.Random(0), 20, 0.2)))
+    assert main(["oracle", "--instance", str(path), "--k", "1", *force]) == 1
+    assert capsys.readouterr().err == "error: k must be >= 2\n"
+
+
 def test_bench_csv_shape(tri_path, tmp_path):
     out = tmp_path / "report.csv"
     rc = main(["bench", "--instance", str(tri_path),

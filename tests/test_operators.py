@@ -16,7 +16,6 @@ from maxkcut.operators import (
     op3_select,
     op4_select,
     op5_apply,
-    psi,
 )
 from maxkcut.partition import Partition, evaluate
 from maxkcut.tabu import TabuList
@@ -24,6 +23,7 @@ from maxkcut.tabu import TabuList
 from conftest import (
     brute_objective,
     combined_gain,
+    psi,
     random_graph,
     reference_op3_select,
     reference_op4_select,

@@ -65,7 +65,7 @@ def test_guard():
     with pytest.raises(OracleGuardError):
         exact_max_kcut(g, 2)
     # override works
-    opt, _ = exact_max_kcut(g, 2, max_n=20)
+    opt, _ = exact_max_kcut(g, 2, force=True)
     assert opt == 1
 
 

@@ -173,7 +173,7 @@ def test_run_best_is_consistent_and_trace_monotone():
 def test_run_determinism():
     rng = random.Random(7)
     g = random_graph(rng, 12, 0.5)
-    opt, _ = exact_max_kcut(g, 2, max_n=12)
+    opt, _ = exact_max_kcut(g, 2)
     runs = [
         run_moh(g, make_params(time_limit=10.0, seed=42, target_objective=opt))
         for _ in range(2)
