@@ -28,8 +28,9 @@ is only lowered.  On the dense benchmark shape (n = 800, k = 4, W ~ 70,
 max|w| = 1) the walks of two 100-round solves read no cell more than 4
 below its array's top, the floors sat 0-8 cells below the tops, and 9 % of
 a target-stopped solve's shifts touched a dict (39 % over 400 rounds).  A
-narrower table has every floor at 0 and no stamps, so the stamp branch
-never runs.
+narrower table is built the same way as a single band of 2W+1 cells, so
+its floors are 0 from the build.  An array at floor 0 has nothing below
+it and keeps no stamps; floors only fall, so it never reads or writes one.
 """
 
 from __future__ import annotations
@@ -68,7 +69,8 @@ def check_bucket_cells(g: Graph, k: int) -> None:
 
 def check_gain_entries(k: int, n: int) -> None:
     """Raise ValueError when a gain table of k columns of n entries would
-    exceed MAX_GAIN_ENTRIES; the CLI calls it on an instance's header."""
+    exceed MAX_GAIN_ENTRIES; search.check_k applies it to an instance's
+    header."""
     entries = k * n
     if entries > MAX_GAIN_ENTRIES:
         raise ValueError(
@@ -116,22 +118,17 @@ class SearchState:
                     gmax[x] = idx
         self.f = evaluate(graph, partition)
         # A table of at least four bands keeps only the cells within a band
-        # of each array's top; its entries below the floor take the build
-        # order as their stamps, all below the clock.
+        # of each array's top; a narrower one is a single band.  Entries
+        # below a floor take the build order as their stamps, all below the
+        # clock; an array at floor 0 has none below it and keeps no stamps.
         band = 5 * graph.max_abs_weight
+        self.band = band = band if band and off >= 4 * band else 2 * off + 1
         self.clock = n
-        if band and off >= 4 * band:
-            self.band = band
-            self.low = [max(0, top - band) for top in gmax]
-            ids = list(range(n))
-            self.stamp = [ids[:] for _ in range(k)]
-            for cx, lo in zip(cells, self.low):
-                for cell in islice(cx, lo):
-                    cell.clear()
-        else:
-            self.band = 0
-            self.low = [0] * k
-            self.stamp = [None] * k
+        self.low = low = [max(0, top - band) for top in gmax]
+        self.stamp = [list(range(n)) if lo else None for lo in low]
+        for cx, lo in zip(cells, low):
+            for cell in islice(cx, lo):
+                cell.clear()
 
     def _fill(self, i: int) -> int:
         """Lower B_i's floor by one band, inserting the band's entries in

@@ -15,7 +15,6 @@ from collections.abc import Callable, Iterable
 from functools import partial
 from pathlib import Path
 
-from .buckets import check_gain_entries
 from .graph import Graph, GraphFormatError, parse_instance
 from .oracle import OracleGuardError, check_oracle_input, exact_max_kcut
 from .partition import (
@@ -27,7 +26,7 @@ from .partition import (
     solution_to_text,
     validate,
 )
-from .search import DESCENT_STRATEGIES, SearchParams, run_moh
+from .search import DESCENT_STRATEGIES, SearchParams, check_k, run_moh
 
 BENCH_COLUMNS = [
     "instance",
@@ -114,7 +113,7 @@ def _check_writable(*paths: str | None, inputs: Iterable[str] = ()) -> None:
 
 
 def cmd_solve(args) -> int:
-    g = _load_instance(args.instance, partial(check_gain_entries, args.k))
+    g = _load_instance(args.instance, partial(check_k, args.k))
     params = _params_from_args(g, args, args.seed, args.rho, args.strategy)
     _check_writable(args.solution_out, args.trace_out, inputs=[args.instance])
     result = run_moh(g, params)
@@ -157,7 +156,7 @@ def cmd_bench(args) -> int:
     run_graphs: list[Graph] = []
     run_params: list[SearchParams] = []
     for path in args.instance:
-        g = _load_instance(path, partial(check_gain_entries, args.k))
+        g = _load_instance(path, partial(check_k, args.k))
         for strategy in strategies:
             for rho in rhos:
                 cells.append((Path(path).name, g, strategy, rho))

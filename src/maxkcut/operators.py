@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import math
 import random
-from copy import copy
-from itertools import filterfalse, islice, tee
+from itertools import filterfalse, islice
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -141,14 +140,15 @@ def op4_select(s: SearchState, rng: random.Random) -> Move | None:
     """Best double transfer (u -> S_p, v -> S_q) for a randomly drawn ordered
     pair of distinct subsets; gain may be <= 0.
 
-    Both passes walk B_p and B_q cell by cell, top first, sharing one
-    cached walk of B_q.  An adjacent pair's combined gain is at most
-    gain(u) + gain(v) + 2*max|w| when u is in S_q (the swap case, psi = 2)
-    and gain(u) + gain(v) + max|w| for every other u; pairs whose bound is
-    below the incumbent are skipped, and a cell of B_p whose partners in
-    B_q are fewer than its members is read from their side.  Ties are
-    resolved by reservoir sampling over the scanned candidates.  Gains are
-    compared as cell index sums, a pair's gain + 2*offset.
+    Both passes walk B_p and B_q cell by cell, top first; every walk of B_q
+    is a fresh cells_descending(q), which yields the same cells each time,
+    since the state does not change.  An adjacent pair's combined gain is at
+    most gain(u) + gain(v) + 2*max|w| when u is in S_q (the swap case,
+    psi = 2) and gain(u) + gain(v) + max|w| for every other u; pairs whose
+    bound is below the incumbent are skipped, and a cell of B_p whose
+    partners in B_q are fewer than its members is read from their side.
+    Ties are resolved by reservoir sampling over the scanned candidates.
+    Gains are compared as cell index sums, a pair's gain + 2*offset.
     """
     assign = s.partition.assign
     k = s.partition.k
@@ -161,10 +161,7 @@ def op4_select(s: SearchState, rng: random.Random) -> Move | None:
     tie_budget = _O4_TIE_BUDGET
     adjacency = s.graph.adjacency
 
-    # Each copy of scan_q rewalks B_q's cells from the top; tee caches the
-    # cells read so far and reads further ones lazily.
-    (scan_q,) = tee(s.cells_descending(q), 1)
-    top_q = next(copy(scan_q), None)
+    top_q = next(s.cells_descending(q), None)
     if top_q is None:  # every vertex is in S_q
         return None
     gq_top = top_q[0]
@@ -180,7 +177,7 @@ def op4_select(s: SearchState, rng: random.Random) -> Move | None:
             if gu + gq_top == best and tie_budget <= 0:
                 break
             nu = None
-            for gv, q_cell in copy(scan_q):
+            for gv, q_cell in s.cells_descending(q):
                 gain = gu + gv
                 if gain < best:
                     break
@@ -227,7 +224,7 @@ def op4_select(s: SearchState, rng: random.Random) -> Move | None:
         # are fewer than the cell's members, the cell is read from their side.
         partners: list[dict[int, None]] = []
         count = 0
-        for gv, q_cell in copy(scan_q):
+        for gv, q_cell in s.cells_descending(q):
             if gv < f_swap or count >= len(cell):
                 break
             partners.append(q_cell)

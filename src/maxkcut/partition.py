@@ -142,4 +142,4 @@ def solution_from_json(text: str) -> tuple[str, int, int, list[int]]:
 
 
 def solution_from_text(text: str) -> list[int]:
-    return [int(line) for line in text.split() if line.strip()]
+    return [int(token) for token in text.split()]

@@ -9,7 +9,7 @@ import time
 from dataclasses import dataclass, field
 from operator import index
 
-from .buckets import SearchState, check_bucket_cells, init_state
+from .buckets import SearchState, check_bucket_cells, check_gain_entries, init_state
 from .graph import Graph
 from .operators import (
     Transfer,
@@ -33,6 +33,14 @@ TIME_CHECK_STRIDE = 128
 def default_time_limit(n: int) -> float:
     """Budget tiers by instance size: 30 min below n = 5000, 2 h below 10000, else 4 h."""
     return 1800.0 if n < 5000 else 7200.0 if n < 10000 else 14400.0
+
+
+def check_k(k: int, n: int) -> None:
+    """Raise ValueError unless 2 <= k <= n and the gain table of k subsets
+    of n vertices fits; the CLI calls it on an instance's header."""
+    if not (2 <= k <= n):
+        raise ValueError(f"k must satisfy 2 <= k <= n={n}")
+    check_gain_entries(k, n)
 
 
 @dataclass
@@ -61,8 +69,7 @@ class SearchParams:
                 setattr(self, name, index(getattr(self, name)))
             except TypeError:
                 raise ValueError(f"{name} must be an integer") from None
-        if not (2 <= self.k <= g.n):
-            raise ValueError(f"k must satisfy 2 <= k <= n={g.n}")
+        check_k(self.k, g.n)
         check_bucket_cells(g, self.k)
         # Written so that NaN fails each check.
         if not (self.omega >= 1):

@@ -3,7 +3,7 @@ import time
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from maxkcut.buckets import (
@@ -419,6 +419,8 @@ def _assert_lockstep(s, ref):
         low = s.low[i]
         ref_cells = [list(cell) for cell in ref.cells[i]]
         assert [list(cell) for cell in cells[low:]] == ref_cells[low:]
+        if not low:  # nothing lies below, and the array keeps no stamps
+            continue
         below = [[] for _ in range(low)]
         col = s.slot[i]
         for v in sorted(range(len(col)), key=s.stamp[i].__getitem__):
@@ -433,19 +435,24 @@ def _assert_lockstep(s, ref):
     max_w=st.sampled_from([1, 2]),
     k=st.integers(2, 4),
     bursts=st.lists(st.integers(0, 80), min_size=1, max_size=4),
+    one_subset=st.booleans(),
 )
-def test_floors_move_in_lockstep_with_the_eager_table(seed, max_w, k, bursts):
+@example(seed=1, max_w=1, k=3, bursts=[40, 0, 80], one_subset=True)
+def test_floors_move_in_lockstep_with_the_eager_table(seed, max_w, k, bursts, one_subset):
     # Bursts of random transfers lift the tops above the floors; each O1
     # descent after one lowers them again, so walks fill bands.  O1, O3 and
-    # O4 must draw the same moves from both tables.
+    # O4 must draw the same moves from both tables.  With every vertex in
+    # subset 0, B_0 starts empty, at floor 0 and with no stamps.
     rng = random.Random(seed)
     g = random_graph(rng, 30 + 30 * max_w, 0.6, -max_w, max_w)
     assert g.max_abs_incident_weight >= 20 * g.max_abs_weight  # the table keeps floors
-    assign = [rng.randrange(k) for _ in range(g.n)]
+    assign = [0 if one_subset else rng.randrange(k) for _ in range(g.n)]
     s = SearchState(g, Partition(k=k, assign=assign))
     ref = EagerState(g, Partition(k=k, assign=list(assign)))
     low0 = list(s.low)
     assert max(low0) > 0
+    if one_subset:
+        assert low0[0] == 0 and s.stamp[0] is None
     _assert_lockstep(s, ref)
 
     def transfer(v, t):

@@ -113,6 +113,18 @@ def test_check_empty_subset_warning(tri_path, tmp_path, capsys):
     assert "empty subset" in capsys.readouterr().out
 
 
+def test_solve_warns_of_an_empty_subset(tmp_path, capsys):
+    # Every edge of this triangle weighs < 0, so its only optimum puts all
+    # three vertices in one subset and leaves the other empty.
+    inst = tmp_path / "negative.txt"
+    inst.write_text("3 3\n1 2 -1\n1 3 -2\n2 3 -3\n")
+    rc = main(["solve", "--instance", str(inst), "--k", "2", "--max-rounds", "1"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "f_best: 0" in out
+    assert "warning: empty subset" in out
+
+
 @pytest.mark.parametrize("name,payload,flags", [
     ("k-huge.json", '{"instance":"tri","k":1000000,"objective":5,"assign":[0,0,1]}', []),
     ("k4.txt", "0\n0\n1\n", ["--k", "4"]),
@@ -694,10 +706,17 @@ def test_large_k_is_input_error(tmp_path, capsys, command):
     assert "gain table needs k*n = 9000000 entries" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["solve", "bench"])
-def test_large_k_is_refused_from_the_header(tmp_path, capsys, command):
-    # n = 10^6 and k = 9: the header alone rules the gain table out, so
-    # nothing of size n is allocated, the graph included (~100 MB).
+@pytest.mark.parametrize("command,k,message", [
+    pytest.param(command, k, message, id=command + suffix)
+    for k, message, suffix in [
+        ("9", "above the limit of 8388608", ""),
+        ("1", "error: k must satisfy 2 <= k <= n=1000000\n", "-k1"),
+    ]
+    for command in ["solve", "bench"]
+])
+def test_large_k_is_refused_from_the_header(tmp_path, capsys, command, k, message):
+    # n = 10^6: the header alone rules k = 9 (the gain table) and k = 1 out,
+    # so nothing of size n is allocated, the graph included (~100 MB).
     import tracemalloc
 
     inst = tmp_path / "header-only.txt"
@@ -705,12 +724,12 @@ def test_large_k_is_refused_from_the_header(tmp_path, capsys, command):
     extra = ["--runs", "1"] if command == "bench" else []
     tracemalloc.start()
     try:
-        rc = main([command, "--instance", str(inst), "--k", "9", *extra])
+        rc = main([command, "--instance", str(inst), "--k", k, *extra])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert rc == 1
-    assert "above the limit of 8388608" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert peak < 4 * 2**20
 
 
