@@ -44,38 +44,34 @@ from .graph import Graph
 from .partition import Partition, evaluate
 
 
+# Largest gain table (k columns of n entries) a state may allocate; check_table
+# states this limit and the next.  With the cell entries and others[] that
+# grow with it, a state built at k = n holds 64-82 bytes per (vertex, subset)
+# pair on a narrow table and 96-107 on a wide one, whose stamps add 8 (n = 200
+# and 400), so this is ~0.6-0.9 GB.
+MAX_GAIN_ENTRIES = 2**23
 # Largest bucket table (k arrays of 2W+1 cells) a state may allocate.  Each
 # cell is an empty dict of ~72 bytes, so this is ~0.6 GB.
 MAX_BUCKET_CELLS = 2**23
-# Largest gain table (k columns of n entries) a state may allocate.  With
-# the cell entries and others[] that grow with it, a state built at k = n
-# holds 64-82 bytes per (vertex, subset) pair on a narrow table and 96-107
-# on a wide one, whose stamps add 8 (n = 200 and 400), so this is ~0.6-0.9 GB.
-MAX_GAIN_ENTRIES = 2**23
 
 
-def check_bucket_cells(g: Graph, k: int) -> None:
-    """Raise ValueError when the bucket table of g with k subsets would
-    exceed MAX_BUCKET_CELLS or its gain table MAX_GAIN_ENTRIES."""
-    w = g.max_abs_incident_weight
-    cells = k * (2 * w + 1)
-    if cells > MAX_BUCKET_CELLS:
-        raise ValueError(
-            f"bucket table needs k*(2W+1) = {cells} cells (k={k}, W={w}, the largest"
-            f" absolute incident weight sum), above the limit of {MAX_BUCKET_CELLS}"
-        )
-    check_gain_entries(k, g.n)
-
-
-def check_gain_entries(k: int, n: int) -> None:
-    """Raise ValueError when a gain table of k columns of n entries would
-    exceed MAX_GAIN_ENTRIES; search.check_k applies it to an instance's
-    header."""
+def check_table(k: int, n: int, w: int = 0) -> None:
+    """Raise ValueError when the gain table of k subsets of n vertices would
+    exceed MAX_GAIN_ENTRIES, or else its bucket table of k arrays of 2w+1
+    cells MAX_BUCKET_CELLS (w: the largest absolute incident weight sum).
+    With w = 0 it needs only an instance's header; then, for n >= 1, the k
+    cells pass whenever k*n does."""
     entries = k * n
     if entries > MAX_GAIN_ENTRIES:
         raise ValueError(
             f"gain table needs k*n = {entries} entries (k={k}, n={n}),"
             f" above the limit of {MAX_GAIN_ENTRIES}"
+        )
+    cells = k * (2 * w + 1)
+    if cells > MAX_BUCKET_CELLS:
+        raise ValueError(
+            f"bucket table needs k*(2W+1) = {cells} cells (k={k}, W={w}, the largest"
+            f" absolute incident weight sum), above the limit of {MAX_BUCKET_CELLS}"
         )
 
 
@@ -89,7 +85,7 @@ class SearchState:
     )
 
     def __init__(self, graph: Graph, partition: Partition):
-        check_bucket_cells(graph, partition.k)
+        check_table(partition.k, graph.n, graph.max_abs_incident_weight)
         self.graph = graph
         self.partition = partition
         self.iter = 0

@@ -95,9 +95,11 @@ def _check_writable(*paths: str | None, inputs: Iterable[str] = ()) -> None:
     writing it would replace that file.  Each resolved path is opened in
     append mode, which leaves an existing file as it is, and a file that
     this creates is removed at once: no output exists during the search,
-    and a symlink is never removed."""
+    and a symlink is never removed.  An empty path names no file."""
     seen = {os.path.realpath(path): "an input" for path in inputs}
-    for path in filter(None, paths):
+    for path in (p for p in paths if p is not None):
+        if not path:
+            raise InputError("an output path is empty")
         real = os.path.realpath(path)
         if real in seen:
             raise InputError(f"output {path} is also {seen[real]}")

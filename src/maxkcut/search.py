@@ -9,7 +9,7 @@ import time
 from dataclasses import dataclass, field
 from operator import index
 
-from .buckets import SearchState, check_bucket_cells, check_gain_entries, init_state
+from .buckets import SearchState, check_table, init_state
 from .graph import Graph
 from .operators import (
     Transfer,
@@ -35,12 +35,12 @@ def default_time_limit(n: int) -> float:
     return 1800.0 if n < 5000 else 7200.0 if n < 10000 else 14400.0
 
 
-def check_k(k: int, n: int) -> None:
-    """Raise ValueError unless 2 <= k <= n and the gain table of k subsets
-    of n vertices fits; the CLI calls it on an instance's header."""
+def check_k(k: int, n: int, w: int = 0) -> None:
+    """Raise ValueError unless 2 <= k <= n and buckets.check_table(k, n, w)
+    passes; the CLI calls it on an instance's header, with w = 0."""
     if not (2 <= k <= n):
         raise ValueError(f"k must satisfy 2 <= k <= n={n}")
-    check_gain_entries(k, n)
+    check_table(k, n, w)
 
 
 @dataclass
@@ -69,8 +69,7 @@ class SearchParams:
                 setattr(self, name, index(getattr(self, name)))
             except TypeError:
                 raise ValueError(f"{name} must be an integer") from None
-        check_k(self.k, g.n)
-        check_bucket_cells(g, self.k)
+        check_k(self.k, g.n, g.max_abs_incident_weight)
         # Written so that NaN fails each check.
         if not (self.omega >= 1):
             raise ValueError("omega must be >= 1")
@@ -163,7 +162,8 @@ def _o2_edge_cap(g: Graph, params: SearchParams) -> int | None:
     phi = params.phi
     if phi is None:
         phi = 0.1 / max(1, g.max_degree)  # edgeless: m = 0, every edge is scanned
-    cap = max(1, math.ceil(phi * g.m))
+    # min: phi >= 1 scans every edge, and a large finite phi * m overflows
+    cap = max(1, math.ceil(min(phi, 1.0) * g.m))
     return cap if cap < g.m else None
 
 

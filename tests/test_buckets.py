@@ -12,7 +12,7 @@ from maxkcut.buckets import (
     SearchState,
     apply_single_transfer,
     best_single_transfer,
-    check_bucket_cells,
+    check_table,
     init_state,
 )
 from maxkcut.graph import Graph
@@ -180,10 +180,10 @@ def _weighted_triangle(w):
 
 
 def test_bucket_table_limit_boundary():
-    # W = 2w on a triangle, so k=2 needs 2 * (4w + 1) cells
-    check_bucket_cells(_weighted_triangle(1048575), 2)  # 8388602 cells
+    # k=2 arrays of 2W + 1 cells, as on a triangle of edge weight W/2
+    check_table(2, 3, 2097150)  # 8388602 cells
     with pytest.raises(ValueError, match=f"limit of {MAX_BUCKET_CELLS}"):
-        check_bucket_cells(_weighted_triangle(1048576), 2)  # 8388610 cells
+        check_table(2, 3, 2097152)  # 8388610 cells
 
 
 def test_huge_weights_rejected_before_allocation():
@@ -197,11 +197,11 @@ def test_huge_weights_rejected_before_allocation():
 
 
 def test_gain_table_limit_boundary():
-    # edgeless, so the bucket table has k cells; the gain table has k*n entries
-    g = Graph.from_edges(4096, [])
-    check_bucket_cells(g, 2048)  # 8388608 entries
+    # W = 0, as on an edgeless graph, so the bucket table has k cells; the
+    # gain table has k*n entries
+    check_table(2048, 4096)  # 8388608 entries
     with pytest.raises(ValueError, match=f"limit of {MAX_GAIN_ENTRIES}"):
-        check_bucket_cells(g, 2049)  # 8392704 entries
+        check_table(2049, 4096)  # 8392704 entries
 
 
 def test_large_k_rejected_before_allocation():
@@ -211,6 +211,17 @@ def test_large_k_rejected_before_allocation():
     with pytest.raises(ValueError, match="gain table needs"):
         SearchState(g, Partition(k=3000, assign=list(range(3000))))
     with pytest.raises(ValueError, match="gain table needs"):
+        run_moh(g, SearchParams(k=3000, max_rounds=1))
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_table_over_both_limits_reports_the_gain_table_first():
+    # k = n = 3000 with W = 10^9: 9e6 gain-table entries and 6e12 cells
+    g = Graph.from_edges(3000, [(0, 1, 10**9)])
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="^gain table needs"):
+        SearchState(g, Partition(k=3000, assign=list(range(3000))))
+    with pytest.raises(ValueError, match="^gain table needs"):
         run_moh(g, SearchParams(k=3000, max_rounds=1))
     assert time.perf_counter() - t0 < 1.0
 

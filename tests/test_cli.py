@@ -633,6 +633,11 @@ def test_solve_max_rounds_stops_the_run(tri_path, capsys):
                "--max-rounds", "2", "--time-limit", "60"])
     assert rc == 0
     assert "rounds: 2 " in capsys.readouterr().out
+    # a phi whose phi * m overflows a float still means "scan every edge"
+    rc = main(["solve", "--instance", str(tri_path), "--k", "2",
+               "--max-rounds", "1", "--phi", "1e308"])
+    assert rc == 0
+    assert "rounds: 1 " in capsys.readouterr().out
 
 
 def test_bench_max_rounds_zero_is_input_error(tri_path, tmp_path, capsys):
@@ -870,24 +875,46 @@ def test_bench_help_shows_defaults(capsys, flag, default):
     assert re.search(rf"{flag} (?:(?! --).)*\(default {re.escape(default)}\)", text)
 
 
-@pytest.mark.parametrize("command,flag", [
+OUTPUT_FLAGS = [
     ("solve", "--solution-out"),
     ("solve", "--trace-out"),
     ("bench", "--out"),
-])
-def test_unwritable_output_fails_before_search(tri_path, tmp_path, capsys, monkeypatch,
-                                              command, flag):
+]
+
+
+@pytest.fixture
+def no_search(monkeypatch):
+    """Fail the test should a command start the search."""
     import maxkcut.cli
 
-    def no_search(g, params):
+    def search(g, params):
         raise AssertionError("the search ran")
 
-    monkeypatch.setattr(maxkcut.cli, "run_moh", no_search)
+    monkeypatch.setattr(maxkcut.cli, "run_moh", search)
+
+
+@pytest.mark.parametrize("command,flag", OUTPUT_FLAGS)
+def test_unwritable_output_fails_before_search(tri_path, tmp_path, capsys, no_search,
+                                              command, flag):
     path = tmp_path / "missing" / "out"
     rc = main([command, "--instance", str(tri_path), "--k", "2", "--time-limit", "60",
                flag, str(path)])
     assert rc == 1
     assert f"error: cannot write {path}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,flag", OUTPUT_FLAGS)
+def test_empty_output_path_fails_before_search(tri_path, tmp_path, capsys, monkeypatch,
+                                               no_search, command, flag):
+    # An empty path names no file: it is refused, not taken as "no output"
+    # (bench --out "" would print the CSV to stdout).
+    monkeypatch.chdir(tmp_path)
+    rc = main([command, "--instance", str(tri_path), "--k", "2", "--time-limit", "60",
+               flag, ""])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: an output path is empty\n")
+    assert [p.name for p in tmp_path.iterdir()] == [tri_path.name]
 
 
 def test_readme_python_example_runs(capsys):

@@ -191,6 +191,14 @@ def test_run_max_rounds_stop():
     _assert_best_consistent(g, result)
 
 
+def test_phi_of_one_or_more_scans_every_edge():
+    # phi * m overflows a float at phi = 1e308; any phi >= 1 means phi = 1
+    g = random_graph(random.Random(4), 20, 0.3)
+    runs = [run_moh(g, make_params(k=3, phi=phi, max_rounds=3, seed=2)) for phi in (1.0, 1e308)]
+    a, b = ((r.f_best, r.best_partition.assign, r.total_iterations, r.rounds) for r in runs)
+    assert a == b
+
+
 def test_run_invalid_params(triangle):
     with pytest.raises(ValueError):
         run_moh(triangle, make_params(rho=1.5))
