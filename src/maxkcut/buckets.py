@@ -6,7 +6,10 @@ absolute incident weight sum of any vertex, which bounds every gain).  Cell
 outside S_i whose gain for moving into S_i is ``gain``; the table stores
 that cell index, slot[i][v] = gain + W, not the gain itself, in one list of
 n entries per subset.  A vertex's entry for its own subset is -1, below
-every cell index.  Once SearchState has built the table,
+every cell index.  SearchState builds the table in two passes, its columns
+first summing each vertex's edge weights into each subset (one pass over
+the edges), then turned into cell indices in ascending vertex order, so
+each cell receives its members in that order.  From then on,
 apply_single_transfer is its one writer: every gain change moves the vertex
 from cell slot[i][v] to its new cell, so a cell read backwards lists its
 members newest first.  A per-array top marker (gmax) is raised eagerly on
@@ -40,8 +43,8 @@ from collections.abc import Iterator
 from itertools import islice
 
 from .draws import below
-from .graph import Graph
-from .partition import Partition, evaluate
+from .graph import Graph, triples
+from .partition import Partition, evaluate  # noqa: F401 (see init_state)
 
 
 # Largest gain table (k columns of n entries) a state may allocate; check_table
@@ -95,24 +98,33 @@ class SearchState:
         assign = partition.assign
         # slot[x][v]: off + the gain of moving v into subset x, one column
         # per subset; the entry for x == assign[v] is -1, below every cell
-        # index.  Each cell receives its members in ascending vertex order.
-        # others[c]: the subsets other than c, ascending.
+        # index.  others[c]: the subsets other than c, ascending.
         self.others = others = [[x for x in range(k) if x != c] for c in range(k)]
-        self.slot = slot = [[-1] * n for _ in range(k)]
         self.cells = cells = [[{} for _ in range(2 * off + 1)] for _ in range(k)]
         self.gmax = gmax = [0] * k
-        for v, nbs in enumerate(graph.adjacency):
-            sums = [0] * k
-            for nb, w in nbs:
-                sums[assign[nb]] += w
-            c = assign[v]
-            own = sums[c] + off
+        # Edge pass: slot[x][v] sums v's edge weights into subset x (home[v]
+        # is the column of v's own subset).
+        self.slot = slot = [[0] * n for _ in range(k)]
+        home = [slot[c] for c in assign]
+        for u, v, w in triples(graph.edges):
+            home[v][u] += w
+            home[u][v] += w
+        del home  # freed before the cells fill
+        # Vertex pass: gain into x = sum into v's own subset - sum into x; f =
+        # total weight - inside weight, which the own sums count once per end.
+        inside = 0
+        for v, c in enumerate(assign):
+            col = slot[c]
+            inside += col[v]
+            own = col[v] + off
+            col[v] = -1
             for x in others[c]:
-                slot[x][v] = idx = own - sums[x]
+                col = slot[x]
+                col[v] = idx = own - col[v]
                 cells[x][idx][v] = None
                 if idx > gmax[x]:
                     gmax[x] = idx
-        self.f = evaluate(graph, partition)
+        self.f = sum(islice(graph.edges, 2, None, 3)) - inside // 2
         # A table of at least four bands keeps only the cells within a band
         # of each array's top; a narrower one is a single band.  Entries
         # below a floor take the build order as their stamps, all below the
@@ -170,7 +182,8 @@ class SearchState:
             top, end = end - 1, self._fill(i)
 
 
-# perfbench wraps this name to time building a state.
+# perfbench wraps these names on this module by attribute: init_state to time
+# building a state, and evaluate, which the build no longer calls.
 init_state = SearchState
 
 

@@ -125,6 +125,7 @@ def cmd_solve(args) -> int:
     print(f"time_to_best_seconds: {result.time_to_best:.3f}")
     print(f"total_iterations: {result.total_iterations}")
     print(f"rounds: {result.rounds}  perturbations: {result.perturbations}")
+    print(f"stop_reason: {result.stop_reason}")
     report = validate(g, result.best_partition)
     for warning in report.warnings:
         print(f"warning: {warning}")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import islice
 from operator import index
 
 
@@ -130,6 +131,22 @@ def triples(flat: tuple[int, ...]):
     return zip(it, it, it)
 
 
+def _header_line(text: str) -> tuple[int, str]:
+    """(1-based number, text) of the first non-blank line, read off a prefix
+    that doubles until it holds that line whole: a prefix's last line may be
+    cut, so it counts only when the prefix is the whole text."""
+    size = 64
+    while True:
+        lines = text[:size].splitlines()
+        whole = size >= len(text)
+        for lineno, raw in enumerate(lines if whole else lines[:-1], 1):
+            if raw.strip():
+                return lineno, raw
+        if whole:
+            raise GraphFormatError("empty input, expected 'n m' header")
+        size *= 2
+
+
 def parse_instance(text: str, check_n: Callable[[int], None] | None = None) -> Graph:
     """Parse G-set edge-list text into a Graph.
 
@@ -137,15 +154,10 @@ def parse_instance(text: str, check_n: Callable[[int], None] | None = None) -> G
     or duplicate edges, self-loops, and edge-count mismatches raise
     GraphFormatError with the 1-based line number; a malformed edge line
     is reported before any edge check.  check_n, when given, is called with
-    the header's vertex count before anything of that size is allocated;
-    what it raises propagates.
+    the header's vertex count before anything of that size is allocated,
+    the split lines of the text included; what it raises propagates.
     """
-    numbered = enumerate(text.splitlines(), 1)
-    for lineno, raw in numbered:  # lineno: the line last read, where an error is
-        if raw.strip():
-            break
-    else:
-        raise GraphFormatError("empty input, expected 'n m' header")
+    lineno, raw = _header_line(text)  # lineno: the line last read, where an error is
     try:
         n, m = map(int, raw.split())
     except ValueError:  # a token that is no integer, or not two tokens
@@ -154,6 +166,7 @@ def parse_instance(text: str, check_n: Callable[[int], None] | None = None) -> G
         raise GraphFormatError("negative count in header", lineno)
     if check_n is not None:
         check_n(n)
+    numbered = enumerate(islice(text.splitlines(), lineno, None), lineno + 1)
 
     def edge_lines():
         nonlocal lineno

@@ -97,11 +97,12 @@ class SearchResult:
     total_iterations: int
     rounds: int
     perturbations: int
+    stop_reason: str  # "target", "budget" (the time limit) or "max_rounds"
     trace: list[tuple[float, int]] = field(default_factory=list)
 
 
 class _StopSearch(Exception):
-    pass
+    """Ends a run; args[0] is the stop reason, "target" or "budget"."""
 
 
 class _BestTracker:
@@ -133,7 +134,7 @@ class _BestTracker:
             self._at_best = True
             self.trace.append((time.perf_counter() - self.t0, s.f))
             if self.f_best >= self.target:
-                raise _StopSearch
+                raise _StopSearch("target")
         elif self._at_best:
             best = self._best_assign = list(s.partition.assign)
             if second is not None:
@@ -152,9 +153,9 @@ class _BestTracker:
     def check_stop(self) -> None:
         """Raise _StopSearch once the target is reached or the budget spent."""
         if self.f_best >= self.target:
-            raise _StopSearch
+            raise _StopSearch("target")
         if time.perf_counter() - self.t0 >= self.time_limit:
-            raise _StopSearch
+            raise _StopSearch("budget")
 
 
 def _o2_edge_cap(g: Graph, params: SearchParams) -> int | None:
@@ -270,9 +271,10 @@ def run_moh(g: Graph, params: SearchParams) -> SearchResult:
                 perturbations += 1
                 c_non_impv = 0
             if rounds >= max_rounds:
+                stop_reason = "max_rounds"
                 break
-    except _StopSearch:
-        pass
+    except _StopSearch as stop:
+        stop_reason = stop.args[0]
     return SearchResult(
         best_partition=Partition(k=params.k, assign=tracker.best_assign(s)),
         f_best=tracker.f_best,
@@ -280,5 +282,6 @@ def run_moh(g: Graph, params: SearchParams) -> SearchResult:
         total_iterations=s.iter,
         rounds=rounds,
         perturbations=perturbations,
+        stop_reason=stop_reason,
         trace=tracker.trace,
     )

@@ -13,6 +13,7 @@ import random
 from copy import copy
 from itertools import tee
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -286,6 +287,52 @@ def assert_coherent(g: Graph, s: SearchState) -> None:
         assert s.gmax[i] >= s.low[i], f"gmax of array {i} below its floor"
 
 
+def vertexwise_table(graph: Graph, partition):
+    """(others, slot, cells, gmax) built as SearchState first built them,
+    vertex by vertex: a list of v's neighbour sums into each subset, then v's
+    entries, each into its cell; every cell is filled."""
+    off = graph.max_abs_incident_weight
+    k = partition.k
+    assign = partition.assign
+    others = [[x for x in range(k) if x != c] for c in range(k)]
+    slot = [[-1] * graph.n for _ in range(k)]
+    cells = [[{} for _ in range(2 * off + 1)] for _ in range(k)]
+    gmax = [0] * k
+    for v, nbs in enumerate(graph.adjacency):
+        sums = [0] * k
+        for nb, w in nbs:
+            sums[assign[nb]] += w
+        c = assign[v]
+        own = sums[c] + off
+        for x in others[c]:
+            slot[x][v] = idx = own - sums[x]
+            cells[x][idx][v] = None
+            if idx > gmax[x]:
+                gmax[x] = idx
+    return others, slot, cells, gmax
+
+
+def reference_state(graph: Graph, partition) -> SimpleNamespace:
+    """Every field SearchState's build sets, from the vertex-wise table and
+    f from its definition: the oracle the two-pass build is checked against.
+    Floors, stamps, band and clock follow the rules of the buckets module
+    docstring."""
+    others, slot, cells, gmax = vertexwise_table(graph, partition)
+    off = graph.max_abs_incident_weight
+    band = 5 * graph.max_abs_weight
+    band = band if band and off >= 4 * band else 2 * off + 1
+    low = [max(0, top - band) for top in gmax]
+    for cx, lo in zip(cells, low):
+        for cell in cx[:lo]:
+            cell.clear()
+    return SimpleNamespace(
+        graph=graph, partition=partition, iter=0, offset=off, others=others, slot=slot,
+        cells=cells, gmax=gmax, low=low, band=band, clock=graph.n,
+        stamp=[list(range(graph.n)) if lo else None for lo in low],
+        f=brute_objective(graph, partition.assign),
+    )
+
+
 class EagerState:
     """The gain table as first written, every entry in its cell at all
     times: the reference that SearchState's floors are checked against.
@@ -296,25 +343,9 @@ class EagerState:
         self.graph = graph
         self.partition = partition
         self.iter = 0
-        self.offset = off = graph.max_abs_incident_weight
-        k = partition.k
-        assign = partition.assign
-        self.others = others = [[x for x in range(k) if x != c] for c in range(k)]
-        self.slot = slot = [[-1] * graph.n for _ in range(k)]
-        self.cells = cells = [[{} for _ in range(2 * off + 1)] for _ in range(k)]
-        self.gmax = gmax = [0] * k
-        for v, nbs in enumerate(graph.adjacency):
-            sums = [0] * k
-            for nb, w in nbs:
-                sums[assign[nb]] += w
-            c = assign[v]
-            own = sums[c] + off
-            for x in others[c]:
-                slot[x][v] = idx = own - sums[x]
-                cells[x][idx][v] = None
-                if idx > gmax[x]:
-                    gmax[x] = idx
-        self.f = brute_objective(graph, assign)
+        self.offset = graph.max_abs_incident_weight
+        self.others, self.slot, self.cells, self.gmax = vertexwise_table(graph, partition)
+        self.f = brute_objective(graph, partition.assign)
 
     def _true_gmax(self, i):
         cells = self.cells[i]

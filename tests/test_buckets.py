@@ -24,7 +24,7 @@ from maxkcut.operators import (
     op4_select,
     op5_apply,
 )
-from maxkcut.partition import Partition
+from maxkcut.partition import Partition, evaluate
 from maxkcut.search import SearchParams, run_moh
 from maxkcut.tabu import TabuList
 
@@ -36,6 +36,7 @@ from conftest import (
     bucket_snapshot,
     eager_apply_single_transfer,
     random_graph,
+    reference_state,
     stored_gain,
 )
 
@@ -353,6 +354,54 @@ def signed_instances(draw):
     g = Graph.from_edges(n, [(u, v, draw(weight)) for u, v in chosen])
     assign = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
     return g, k, assign
+
+
+@st.composite
+def build_instances(draw):
+    """(graph, k, assign) for the build oracle: n in [2, 40] with the last
+    vertices possibly isolated, weights all zero, all negative, mixed or all
+    1 (dense unit graphs give tables wide enough to keep floors), k in
+    [2, n], and every vertex in subset 0 or each in a drawn subset."""
+    n = draw(st.integers(2, 40))
+    isolated = draw(st.integers(0, n))
+    kind = draw(st.sampled_from(["zero", "negative", "mixed", "unit"]))
+    density = draw(st.sampled_from([0.0, 0.2, 0.6, 1.0]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    lo, hi = {"zero": (0, 0), "negative": (-5, -1), "mixed": (-3, 3), "unit": (1, 1)}[kind]
+    live = n - isolated
+    g = Graph.from_edges(n, [
+        (u, v, rng.randint(lo, hi))
+        for u in range(live) for v in range(u + 1, live) if rng.random() < density
+    ])
+    k = draw(st.integers(2, n))
+    if draw(st.booleans()):
+        assign = [0] * n
+    else:
+        assign = [rng.randrange(k) for _ in range(n)]
+    return g, k, assign
+
+
+@settings(max_examples=200, deadline=None)
+@given(build_instances())
+@example((Graph.from_edges(30, [(u, v, 1) for u in range(30) for v in range(u + 1, 30)]), 3,
+          [v % 3 for v in range(30)]))
+@example((Graph.from_edges(30, [(u, v, 1) for u in range(30) for v in range(u + 1, 30)]), 2,
+          [0] * 30))
+def test_build_equals_the_vertexwise_reference(instance):
+    # The two-pass build gives the state the vertex-wise build gave, field
+    # by field, member order included; the examples keep floors (W = 29
+    # >= 20 max|w|), the second with B_0 empty at floor 0.
+    g, k, assign = instance
+    s = SearchState(g, Partition(k=k, assign=list(assign)))
+    ref = reference_state(g, Partition(k=k, assign=list(assign)))
+    assert s.slot == ref.slot
+    assert [[list(cell) for cell in cells] for cells in s.cells] == [
+        [list(cell) for cell in cells] for cells in ref.cells
+    ]
+    for field in ("gmax", "low", "stamp", "band", "clock", "f", "offset", "others", "iter"):
+        assert getattr(s, field) == getattr(ref, field), field
+    assert s.f == evaluate(g, s.partition)
+    assert s.partition.assign == assign
 
 
 class GainTableMachine(RuleBasedStateMachine):

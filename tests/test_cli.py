@@ -640,6 +640,17 @@ def test_solve_max_rounds_stops_the_run(tri_path, capsys):
     assert "rounds: 1 " in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flags,reason", [
+    (["--target", "5", "--time-limit", "60"], "target"),
+    (["--max-rounds", "1", "--time-limit", "60"], "max_rounds"),
+    (["--time-limit", "0"], "budget"),
+], ids=["target", "max-rounds", "budget"])
+def test_solve_prints_its_stop_reason(tri_path, capsys, flags, reason):
+    rc = main(["solve", "--instance", str(tri_path), "--k", "2", *flags])
+    assert rc == 0
+    assert f"\nstop_reason: {reason}\n" in capsys.readouterr().out
+
+
 def test_bench_max_rounds_zero_is_input_error(tri_path, tmp_path, capsys):
     out = tmp_path / "report.csv"
     rc = main(["bench", "--instance", str(tri_path), "--k", "2", "--runs", "1",

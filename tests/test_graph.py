@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from maxkcut.buckets import SearchState
-from maxkcut.graph import Graph, GraphFormatError, parse_instance, triples, write_instance
+from maxkcut.graph import (
+    Graph,
+    GraphFormatError,
+    _header_line,
+    parse_instance,
+    triples,
+    write_instance,
+)
 from maxkcut.partition import random_initial
 
 TRIANGLE_TEXT = "3 3\n1 2 1\n1 3 2\n2 3 3"
@@ -218,6 +225,59 @@ def test_edge_errors_report_their_line_past_blank_lines(newline, last, reason):
     with pytest.raises(GraphFormatError) as err:
         parse_instance(newline.join(lines))
     assert (err.value.reason, err.value.line) == (reason, 11)
+
+
+# Every line break str.splitlines knows.
+LINE_BREAKS = [
+    "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029",
+]
+
+
+@pytest.mark.parametrize("brk", ["\x0b", "\u2028"], ids=["x0b", "u2028"])
+def test_edge_error_after_an_unusual_header_break_keeps_its_line(brk):
+    # The header is read off a prefix of the text, the edges off the whole
+    # text; both count the same lines, blank ones included.
+    with pytest.raises(GraphFormatError) as err:
+        parse_instance(f"3 1{brk}1 x 1\n")
+    assert (err.value.reason, err.value.line) == ("malformed edge, expected integers 'u v w'", 2)
+    with pytest.raises(GraphFormatError) as err:
+        parse_instance(f"{brk} {brk}3 2{brk}1 2 1{brk}{brk}1 4 1{brk}")
+    assert (err.value.reason, err.value.line) == ("vertex id out of range", 6)
+
+
+@given(
+    pad=st.lists(st.sampled_from([" ", "\t"] + LINE_BREAKS), max_size=80),
+    header=st.sampled_from(["3 1", "x", "3 1 " + "9" * 70]),
+    ends=st.lists(st.sampled_from(LINE_BREAKS), min_size=1, max_size=3),
+    rest=st.sampled_from(["", "1 2 1", "\r\n1 2 1\n"]),
+)
+def test_header_line_is_the_first_non_blank_line_of_the_whole_text(pad, header, ends, rest):
+    # Blank padding puts the header, and breaks such as \r\n, on each side
+    # of the first prefix's end (64 characters) and of its doublings.
+    text = "".join(pad) + header + "".join(ends) + rest
+    first = next((i, line) for i, line in enumerate(text.splitlines(), 1) if line.strip())
+    assert _header_line(text) == first
+
+
+def test_header_refusal_reads_only_a_prefix():
+    # A check_n that refuses the header ends the parse before the text is
+    # split into lines: the peak does not grow with the 4.1 MB of edge lines
+    # (splitting first peaked at 21.1 MB).
+    text = "100000 300000\n" + "".join(
+        f"{v + 1} {v % 99_999 + 2} 1\n" for v in range(300_000))
+    assert len(text) > 4_000_000
+
+    def refuse(n):
+        raise ValueError(f"n={n} refused")
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="n=100000 refused"):
+            parse_instance(text, refuse)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1e6
 
 
 def _random_instance_text(n: int, m: int, weights, seed: int) -> str:

@@ -191,6 +191,23 @@ def test_run_max_rounds_stop():
     _assert_best_consistent(g, result)
 
 
+@pytest.mark.parametrize("kw,reason,rounds", [
+    (dict(target_objective=5, time_limit=60.0), "target", None),
+    (dict(max_rounds=1, time_limit=60.0), "max_rounds", 1),
+    (dict(time_limit=0.0), "budget", 0),
+], ids=["target", "max-rounds", "budget"])
+def test_run_reports_why_it_stopped(triangle, kw, reason, rounds):
+    # The triangle's 2-cut optimum is 5; a zero budget ends the run at its
+    # first check, before any round.
+    result = run_moh(triangle, make_params(**kw))
+    assert result.stop_reason == reason
+    if rounds is not None:
+        assert result.rounds == rounds
+    if reason == "target":
+        assert result.f_best == 5
+    _assert_best_consistent(triangle, result)
+
+
 def test_phi_of_one_or_more_scans_every_edge():
     # phi * m overflows a float at phi = 1e308; any phi >= 1 means phi = 1
     g = random_graph(random.Random(4), 20, 0.3)
